@@ -4,35 +4,26 @@
 
 namespace ps2 {
 
-template <typename Fn>
-void DeliveryRouter::MutateShard(size_t shard, Fn&& fn) {
-  Shard& s = shards_[shard];
-  std::lock_guard<std::mutex> lock(s.writer_mu);
-  auto next = s.map != nullptr ? std::make_shared<Map>(*s.map)
-                               : std::make_shared<Map>();
-  fn(*next);
-  std::atomic_store(&s.map, std::shared_ptr<const Map>(std::move(next)));
-}
-
 void DeliveryRouter::Route(QueryId id,
                            std::shared_ptr<SubscriberSession> session) {
   if (session == nullptr) {
     Unroute(id);
     return;
   }
-  MutateShard(ShardOf(id), [&](Map& m) { m[id] = std::move(session); });
+  Shard& s = ShardFor(id);
+  std::lock_guard<std::mutex> lock(s.mu);
+  // `session` takes the replaced route, released after the lock.
+  s.map[id].swap(session);
 }
 
 void DeliveryRouter::Unroute(QueryId id) {
-  const size_t shard = ShardOf(id);
-  {
-    // Cheap pre-check against the published map: unsubscribing a query that
-    // never had a session (the common case for the legacy API) must not pay
-    // a shard copy.
-    const auto current = std::atomic_load(&shards_[shard].map);
-    if (current == nullptr || current->find(id) == current->end()) return;
-  }
-  MutateShard(shard, [&](Map& m) { m.erase(id); });
+  std::shared_ptr<SubscriberSession> dropped;  // released after the lock
+  Shard& s = ShardFor(id);
+  std::lock_guard<std::mutex> lock(s.mu);
+  const auto it = s.map.find(id);
+  if (it == s.map.end()) return;
+  dropped = std::move(it->second);
+  s.map.erase(it);
 }
 
 void DeliveryRouter::RegisterSession(
@@ -69,10 +60,10 @@ void DeliveryRouter::SetShedding(bool shedding) {
 }
 
 std::shared_ptr<SubscriberSession> DeliveryRouter::Lookup(QueryId id) const {
-  const auto map = std::atomic_load(&shards_[ShardOf(id)].map);
-  if (map == nullptr) return nullptr;
-  const auto it = map->find(id);
-  return it != map->end() ? it->second : nullptr;
+  Shard& s = ShardFor(id);
+  std::lock_guard<std::mutex> lock(s.mu);
+  const auto it = s.map.find(id);
+  return it != s.map.end() ? it->second : nullptr;
 }
 
 void DeliveryRouter::Enqueue(const Delivery& d) {
@@ -124,18 +115,29 @@ void DeliveryRouter::DeliverBatch(const Delivery* pending, size_t n) {
   }
   // Group contiguous runs bound for the same session: matches arrive
   // cell-clustered, so neighbours usually share a session, and a run
-  // enqueues under a single session lock.
-  size_t i = 0;
-  while (i < n) {
-    const auto session = Lookup(pending[i].query_id);
-    size_t j = i + 1;
-    while (j < n && Lookup(pending[j].query_id) == session) ++j;
-    if (session == nullptr) {
-      unrouted_.fetch_add(j - i, std::memory_order_relaxed);
-    } else {
-      session->EnqueueBatch(pending + i, j - i);
+  // enqueues under a single session lock. Each delivery is resolved once;
+  // `run` pins the current run's session, so comparing raw pointers under
+  // the shard lock is safe, and only a run boundary copies a shared_ptr.
+  std::shared_ptr<SubscriberSession> run;  // routed session of [begin, i)
+  size_t begin = 0;
+  for (size_t i = 0; i <= n; ++i) {
+    std::shared_ptr<SubscriberSession> next;
+    if (i < n) {
+      Shard& s = ShardFor(pending[i].query_id);
+      std::lock_guard<std::mutex> lock(s.mu);
+      const auto it = s.map.find(pending[i].query_id);
+      SubscriberSession* const found =
+          it != s.map.end() ? it->second.get() : nullptr;
+      if (i > begin && found == run.get()) continue;
+      if (found != nullptr) next = it->second;
     }
-    i = j;
+    if (run != nullptr) {
+      run->EnqueueBatch(pending + begin, i - begin);
+    } else if (i > begin) {
+      unrouted_.fetch_add(i - begin, std::memory_order_relaxed);
+    }
+    run = std::move(next);
+    begin = i;
   }
 }
 

@@ -24,12 +24,12 @@ namespace ps2 {
 // a facade restarted between modes never re-delivers a pair it already
 // delivered.
 //
-// Concurrency follows the RoutingSnapshot pattern: the QueryId -> session
-// map is sharded, and each shard is an *immutable* map republished with one
-// atomic shared_ptr swap per mutation. Delivering threads resolve a query
-// with a single atomic load and never block on subscribe / unsubscribe /
-// session churn; writers serialize per shard and pay a copy proportional to
-// the shard (1/kShards of the table), not the table.
+// Concurrency: the QueryId -> session map is split into kShards
+// lock-striped maps mutated in place. Route, Unroute and every lookup take
+// one shard mutex for an O(1) critical section (a hash find, insert or
+// erase, plus at most one shared_ptr copy); a session is never enqueued to,
+// and a dropped session never destroyed, while a router lock is held, so a
+// kBlock session parked on a full queue cannot stall subscribe or cancel.
 class DeliveryRouter final : public DeliverySink {
  public:
   DeliveryRouter() = default;
@@ -79,8 +79,7 @@ class DeliveryRouter final : public DeliverySink {
   }
 
   // Delivers one already-deduplicated match. `publish_us` is the publish
-  // timestamp carried from the facade/engine. Thread-safe, lock-free
-  // lookup.
+  // timestamp carried from the facade/engine. Thread-safe.
   void Deliver(const MatchResult& m, int64_t publish_us) override;
 
   // Batch variant for the worker loop: `pending` carries query/object ids
@@ -125,16 +124,11 @@ class DeliveryRouter final : public DeliverySink {
     return static_cast<size_t>(h >> 58);  // top 6 bits -> 64 shards
   }
 
-  struct Shard {
-    std::mutex writer_mu;
-    // Read with std::atomic_load, republished with std::atomic_store; a
-    // null pointer means "empty" (saves allocating 64 empty maps up front).
-    std::shared_ptr<const Map> map;
+  struct alignas(64) Shard {
+    std::mutex mu;
+    Map map;
   };
-
-  // Copy-on-write update of one shard under its writer lock.
-  template <typename Fn>
-  void MutateShard(size_t shard, Fn&& fn);
+  Shard& ShardFor(QueryId id) const { return shards_[ShardOf(id)]; }
 
   // Enqueues one delivery to its routed session (or counts it unrouted).
   void Enqueue(const Delivery& d);

@@ -4,7 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/delivery_router.h"
 #include "api/status.h"
 #include "api/subscriber_session.h"
 #include "api/subscription.h"
@@ -182,74 +181,6 @@ TEST(SubscriberSessionTest, SinkFlushesBacklogThenReceivesLive) {
   session.Enqueue(MakeDelivery(1, 4));
   EXPECT_TRUE(session.Poll(&d));
   EXPECT_EQ(d.object_id, 4u);
-}
-
-// ---------------------------------------------------------------------------
-// DeliveryRouter: snapshot-published QueryId -> session map
-// ---------------------------------------------------------------------------
-
-TEST(DeliveryRouterTest, RoutesUnroutesAndCountsUnrouted) {
-  DeliveryRouter router;
-  auto session = std::make_shared<SubscriberSession>();
-  router.RegisterSession(session);
-  router.Route(42, session);
-  EXPECT_EQ(router.Lookup(42), session);
-  EXPECT_EQ(router.Lookup(43), nullptr);
-
-  MatchResult m;
-  m.query_id = 42;
-  m.object_id = 7;
-  router.Deliver(m, /*publish_us=*/5);
-  EXPECT_EQ(session->pending(), 1u);
-  m.query_id = 43;
-  router.Deliver(m, /*publish_us=*/5);
-  EXPECT_EQ(router.unrouted(), 1u);
-
-  router.Unroute(42);
-  EXPECT_EQ(router.Lookup(42), nullptr);
-  m.query_id = 42;
-  router.Deliver(m, /*publish_us=*/5);
-  EXPECT_EQ(router.unrouted(), 2u);
-  EXPECT_EQ(session->pending(), 1u);
-
-  const SessionStats stats = router.AggregateStats();
-  EXPECT_EQ(stats.delivered, 1u);
-}
-
-TEST(DeliveryRouterTest, ConcurrentRouteAndDeliver) {
-  // Writers republish shard snapshots while delivering threads look up
-  // lock-free; TSan (CI) verifies the absence of data races, this test the
-  // absence of lost routes.
-  DeliveryRouter router;
-  auto session = std::make_shared<SubscriberSession>(
-      SessionOptions{/*queue_capacity=*/1 << 20,
-                     BackpressurePolicy::kBlock});
-  router.RegisterSession(session);
-  constexpr QueryId kQueries = 512;
-  std::thread writer([&] {
-    for (QueryId q = 1; q <= kQueries; ++q) router.Route(q, session);
-  });
-  std::atomic<uint64_t> delivered{0};
-  std::thread deliverer([&] {
-    MatchResult m;
-    m.object_id = 1;
-    for (int round = 0; round < 64; ++round) {
-      for (QueryId q = 1; q <= kQueries; ++q) {
-        m.query_id = q;
-        router.Deliver(m, 1);
-        ++delivered;
-      }
-    }
-  });
-  writer.join();
-  deliverer.join();
-  // Every delivery either reached the session or was counted unrouted.
-  EXPECT_EQ(session->stats().delivered + router.unrouted(),
-            delivered.load());
-  // After the writer finished, every id resolves.
-  for (QueryId q = 1; q <= kQueries; ++q) {
-    EXPECT_NE(router.Lookup(q), nullptr);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "workload/stream_gen.h"
 #include "workload/synthetic_corpus.h"
@@ -12,8 +15,15 @@ namespace {
 
 class TraceIoTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    // Unique per test and process: ctest runs gtest cases in parallel.
+    path_ = ::testing::TempDir() + "/ps2_trace_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".bin";
+    std::remove(path_.c_str());
+  }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/ps2_trace_test.bin";
+  std::string path_;
 };
 
 TEST_F(TraceIoTest, RoundTripStream) {
