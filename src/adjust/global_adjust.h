@@ -34,7 +34,6 @@ class DualStrategyRouter {
   size_t OldQueryCount() const;
 
   GridtIndex& primary() { return *primary_; }
-  GridtIndex* old_index() { return old_.get(); }
 
   // Routing. Objects take the union of both strategies' destinations while
   // a transition is in flight.

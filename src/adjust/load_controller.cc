@@ -23,13 +23,6 @@ AdjustReport LoadController::Check(Cluster& cluster,
       totals_.queries_moved += report.queries_moved;
       totals_.bytes_moved += report.bytes_migrated;
     }
-    history_.push_back(report);
-    // The controller can run for the lifetime of a service; keep only the
-    // recent reports (totals_ keeps the lifetime aggregates).
-    if (history_.size() > kMaxHistory) {
-      history_.erase(history_.begin(),
-                     history_.end() - static_cast<ptrdiff_t>(kMaxHistory));
-    }
   }
   return report;
 }

@@ -59,9 +59,6 @@ class LoadController {
     uint64_t bytes_moved = 0;
   };
   const Totals& totals() const { return totals_; }
-  // The most recent triggered reports (bounded; totals() aggregates all).
-  const std::vector<AdjustReport>& history() const { return history_; }
-  static constexpr size_t kMaxHistory = 256;
 
   // Latest global repartition evaluation (nullptr until one ran).
   const RepartitionDecision* last_global_decision() const {
@@ -75,7 +72,6 @@ class LoadController {
   LoadControllerConfig config_;
   LocalLoadAdjuster adjuster_;
   Totals totals_;
-  std::vector<AdjustReport> history_;
   std::unique_ptr<RepartitionDecision> global_decision_;
   uint64_t global_evaluations_ = 0;
 };

@@ -10,12 +10,6 @@ double Stopwatch::ElapsedSeconds() const {
       .count();
 }
 
-int64_t Stopwatch::ElapsedMicros() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
 int64_t Stopwatch::ElapsedNanos() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - start_)

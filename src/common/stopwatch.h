@@ -16,7 +16,6 @@ class Stopwatch {
 
   // Elapsed time since construction / last Restart().
   double ElapsedSeconds() const;
-  int64_t ElapsedMicros() const;
   int64_t ElapsedNanos() const;
 
  private:

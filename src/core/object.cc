@@ -26,8 +26,4 @@ SpatioTextualObject SpatioTextualObject::FromTerms(ObjectId id, Point loc,
   return o;
 }
 
-bool SpatioTextualObject::ContainsTerm(TermId t) const {
-  return std::binary_search(terms.begin(), terms.end(), t);
-}
-
 }  // namespace ps2

@@ -42,8 +42,6 @@ struct SpatioTextualObject {
   static SpatioTextualObject FromTerms(ObjectId id, Point loc,
                                        std::vector<TermId> terms);
 
-  bool ContainsTerm(TermId t) const;
-
   // Approximate in-memory footprint (for worker memory accounting).
   size_t MemoryBytes() const {
     return sizeof(SpatioTextualObject) + terms.capacity() * sizeof(TermId);

@@ -38,7 +38,6 @@ class Dispatcher {
   // private copy per dispatcher thread and merges on stop.
   using Stats = DispatchStats;
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats{}; }
 
   GridtIndex& index() { return *index_; }
 

@@ -17,9 +17,7 @@ namespace ps2 {
 // Role today: the synchronous cluster still dedups through this component
 // inline, but the threaded engine's workers filter through the sharded
 // ShardedDedupWindow (common/dedup_window.h) instead — the merger is off
-// the threaded hot path and serves only as the reference filter that
-// EngineOptions::merger_audit replays matches through to cross-check the
-// sharded window's verdicts.
+// the threaded hot path.
 //
 // Deduplication state is bounded: (query, object) keys are remembered in a
 // FIFO window of `window_capacity` entries. The stream is roughly ordered by

@@ -115,7 +115,6 @@ class PostingArena {
     list.total = 0;
   }
 
-  size_t NumChunks() const { return chunks_.size(); }
   size_t MemoryBytes() const { return chunks_.capacity() * sizeof(Chunk); }
 
  private:

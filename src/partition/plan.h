@@ -34,7 +34,6 @@ class TermRouter {
   // The explicit term assignments (H1 content of the region).
   const std::unordered_map<TermId, WorkerId>& term_map() const { return map_; }
 
-  size_t map_size() const { return map_.size(); }
   size_t MemoryBytes() const;
 
  private:

@@ -7,7 +7,7 @@ Cluster::Cluster(PartitionPlan plan, const Vocabulary* vocab,
     : vocab_(vocab),
       index_(std::move(plan), vocab),
       dispatcher_(&index_),
-      merger_(options.merger_window) {
+      merger_(kMergerWindow) {
   const int m = index_.plan().num_workers;
   workers_.reserve(m);
   for (int i = 0; i < m; ++i) {

@@ -18,8 +18,10 @@ namespace ps2 {
 
 struct ClusterOptions {
   Gi2Index::Options worker_index;
-  size_t merger_window = 1 << 20;
 };
+
+// (query, object) pairs the cluster's merger remembers for deduplication.
+inline constexpr size_t kMergerWindow = 1 << 20;
 
 // Outcome of moving one cell's queries between workers.
 struct MigrationStats {

@@ -28,11 +28,6 @@ struct EngineOptions {
   // How engine threads wait on empty/full rings (see common/wait_strategy.h):
   // park immediately, spin adaptively before parking, or busy-poll.
   WaitStrategy wait_strategy = WaitStrategy::kBlocking;
-  // Audit mode: replay every worker match through the classic merger (under
-  // a global lock, as the pre-ring engine did) and count verdicts that
-  // disagree with the sharded dedup window. Serializes the match path —
-  // for equivalence tests only, never production runs.
-  bool merger_audit = false;
   // Recent-tuple window kept for the controller's Phase-I term statistics
   // (spread across dispatcher-local rings).
   size_t window_capacity = 1 << 15;
@@ -84,11 +79,6 @@ class Engine {
   // RecoverState() in persist/durability.h.
   static bool Recover(const std::string& dir, RecoveredState* out);
 };
-
-// Compatibility wrapper for the original free-function runtime: constructs
-// a ThreadedEngine over `cluster` and runs `input` through it.
-RunReport RunThreaded(Cluster& cluster, const std::vector<StreamTuple>& input,
-                      const EngineOptions& options);
 
 }  // namespace ps2
 

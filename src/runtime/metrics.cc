@@ -35,13 +35,6 @@ AppendF(std::string* out, const char* fmt, ...) {
 
 }  // namespace
 
-double RunReport::AvgWorkerMemory() const {
-  if (worker_memory_bytes.empty()) return 0.0;
-  double sum = 0.0;
-  for (const size_t b : worker_memory_bytes) sum += static_cast<double>(b);
-  return sum / worker_memory_bytes.size();
-}
-
 void RunReport::MergeShard(const RunReport& shard) {
   tuples_processed += shard.tuples_processed;
   objects += shard.objects;
@@ -78,7 +71,6 @@ void RunReport::MergeShard(const RunReport& shard) {
   dedup_kills += shard.dedup_kills;
   wait_spins += shard.wait_spins;
   wait_parks += shard.wait_parks;
-  audit_mismatches += shard.audit_mismatches;
   worker_ring_highwater.insert(worker_ring_highwater.end(),
                                shard.worker_ring_highwater.begin(),
                                shard.worker_ring_highwater.end());
@@ -162,21 +154,7 @@ std::string RunReport::Summary() const {
             static_cast<unsigned long long>(overload_trips),
             static_cast<unsigned long long>(overload_sheds));
   }
-  if (audit_mismatches > 0) {
-    AppendF(&out, " AUDIT_MISMATCHES=%llu",
-            static_cast<unsigned long long>(audit_mismatches));
-  }
   return out;
-}
-
-double RunReport::MaxWorkerShare() const {
-  if (per_worker_tuples.empty()) return 0.0;
-  uint64_t total = 0, mx = 0;
-  for (const uint64_t t : per_worker_tuples) {
-    total += t;
-    mx = std::max(mx, t);
-  }
-  return total == 0 ? 0.0 : static_cast<double>(mx) / total;
 }
 
 }  // namespace ps2

@@ -55,7 +55,6 @@ struct RunReport {
   uint64_t dedup_kills = 0;        // duplicates the sharded window suppressed
   uint64_t wait_spins = 0;         // spin iterations across all WaitContexts
   uint64_t wait_parks = 0;         // futex parks across all WaitContexts
-  uint64_t audit_mismatches = 0;   // merger-audit verdict disagreements
   // Deepest any of a worker's SPSC data rings ever got (one entry per
   // worker; producer-side estimate).
   std::vector<uint64_t> worker_ring_highwater;
@@ -87,9 +86,6 @@ struct RunReport {
   // Engine shards this report covers: 1 for a single engine, N after
   // MergeShard folded a fleet together (the shard fabric's Stop()).
   int shards = 1;
-
-  double AvgWorkerMemory() const;
-  double MaxWorkerShare() const;  // max per-worker tuples / total
 
   // Folds one shard's report into this fleet report: counters sum,
   // histograms and dispatch stats merge, per-worker vectors append (so the

@@ -16,9 +16,9 @@
 #include "api/subscription.h"
 #include "core/workload_stats.h"
 #include "persist/durability.h"
+#include "runtime/engine_node.h"
 #include "runtime/metrics_exporter.h"
 #include "runtime/overload.h"
-#include "runtime/threaded_engine.h"
 #include "shard/sharded_engine.h"
 #include "subscribe/spec.h"
 #include "subscribe/topk.h"
@@ -27,9 +27,13 @@
 namespace ps2 {
 
 // Top-level facade: the publish/subscribe service a downstream application
-// embeds. It owns the vocabulary, builds the partition plan from a bootstrap
-// sample (or a uniform default), runs the cluster, and can keep the load
-// balanced automatically via local adjustments.
+// embeds. It owns the vocabulary, the delivery router, the subscription
+// registry, admission (quotas, overload shedding), top-k and metrics. The
+// dispatcher -> worker -> merger pipeline itself is one EngineNode
+// (runtime/engine_node.h: cluster, threaded engine, WAL) built from a
+// bootstrap sample (or a uniform default plan) — or, with
+// sharding.num_shards > 1, a ShardedEngine holding one such node per shard.
+// Synchronous mode can keep the load balanced via local adjustments.
 //
 //   PS2Stream ps2(PS2StreamOptions{...});
 //   ps2.Bootstrap(sample);                        // plan from historic data
@@ -201,11 +205,14 @@ class PS2Stream : private SubscriptionBackend {
   // write — mutations after that point would not survive a crash.
   bool durable() const {
     if (fabric_ != nullptr) return fabric_->durable();
-    return durability_ != nullptr && durability_->healthy();
+    return node_ != nullptr && node_->durability() != nullptr &&
+           node_->durability()->healthy();
   }
   // The durability manager (nullptr when durability is off) — exposed for
   // tooling and tests (e.g. forcing a WAL flush before a simulated crash).
-  DurabilityManager* durability() { return durability_.get(); }
+  DurabilityManager* durability() {
+    return node_ != nullptr ? node_->durability() : nullptr;
+  }
 
   // Fleet health, on demand: Ok when every shard answers an acked probe and
   // durability is intact. kDataLoss — a WAL hit its sticky I/O error;
@@ -235,17 +242,19 @@ class PS2Stream : private SubscriptionBackend {
   // wedge shutdown. No-op RunReport when the engine is not running.
   RunReport Stop();
   bool started() const {
-    return (engine_ != nullptr && engine_->running()) ||
+    return (node_ != nullptr && node_->started()) ||
            (fabric_ != nullptr && fabric_->started());
   }
-  ThreadedEngine* engine() { return engine_.get(); }
+  ThreadedEngine* engine() {
+    return node_ != nullptr ? node_->engine() : nullptr;
+  }
   // The shard fabric (nullptr when sharding.num_shards <= 1).
   ShardedEngine* fabric() { return fabric_.get(); }
 
   // --- introspection --------------------------------------------------------
   Vocabulary& vocabulary() { return vocab_; }
-  Cluster& cluster() { return *cluster_; }
-  const Cluster& cluster() const { return *cluster_; }
+  Cluster& cluster() { return node_->cluster(); }
+  const Cluster& cluster() const { return node_->cluster(); }
   size_t num_subscriptions() const { return subscriptions_.size(); }
   const std::unordered_map<QueryId, STSQuery>& subscriptions() const {
     return subscriptions_;
@@ -253,7 +262,7 @@ class PS2Stream : private SubscriptionBackend {
   // Note: cluster() is only meaningful in single-engine mode; use fabric()
   // for per-shard access when sharding is on.
   bool bootstrapped() const {
-    return cluster_ != nullptr ||
+    return node_ != nullptr ||
            (fabric_ != nullptr && fabric_->bootstrapped());
   }
   const std::vector<AdjustReport>& adjustments() const {
@@ -295,44 +304,49 @@ class PS2Stream : private SubscriptionBackend {
   // SubscriptionBackend (RAII Subscription handles cancel through this).
   void CancelSubscription(QueryId id) override;
 
-  // Shared subscribe path: WAL-before-apply, delivery routing, engine
-  // submit or inline processing. Non-Ok (fabric mode: an owner shard is
-  // quarantined) rolls the registration back.
+  // Shared subscribe path: admission, delivery routing, then the node's
+  // WAL-before-apply insert or the fabric's per-shard one. Non-Ok (fabric
+  // mode: an owner shard is quarantined) rolls the registration back.
   Status ApplySubscribe(const STSQuery& query, const SessionPtr& session);
   // Shared unsubscribe path (Cancel and the RAII handles funnel here):
-  // WAL-before-apply, unroute, engine submit or inline processing.
+  // unroute, then the node's or the fabric's delete.
   Status ApplyUnsubscribe(QueryId id);
   // Shared publish path.
   Status PostInternal(const SpatioTextualObject& object);
   // Samples session-queue and worker-ring fills into the overload
   // controller (called every overload.check_interval posts).
   void SampleOverload();
-  // Shared subscription-update path (fabric / WAL / engine-or-inline).
+  // Shared subscription-update path (node or fabric).
   Status ApplyUpdate(const STSQuery& old_query, const STSQuery& new_query);
+  // Writes the counters that are live and thread-safe right now (sessions,
+  // unrouted, quota, overload, live subscriptions) into `r`.
+  void OverlayLiveCounters(RunReport* r) const;
   // Watermark advance + promotion delivery (both Post and AdvanceEventTime).
   void AdvanceWatermark(int64_t watermark_us);
+  // Ok when the service can take `op`: kUnavailable once killed,
+  // kFailedPrecondition before Bootstrap()/Restore().
+  Status Serving(const char* op) const;
   // Mutation gate: kDataLoss once the WAL (any shard's, in fabric mode)
   // has hit its sticky I/O error — the service refuses new mutations
   // rather than accepting ones that would not survive a crash.
   Status DurabilityGate() const;
+  // Registers a recovered subscription (registry, top-k, quota).
+  void AdoptRestored(const STSQuery& q);
+  // Sync-mode auto-adjust window: tracking() gates building the tuple.
+  bool tracking() const { return options_.auto_adjust && !started(); }
   void Track(const StreamTuple& tuple);
   void MaybeAutoAdjust();
   void MaybeCheckpoint();
-  // Captures the current state (vocab, plan, snapshot, live queries) for a
-  // checkpoint committed under `seq`.
-  bool CommitCheckpointLocked(uint64_t seq);
 
   PS2StreamOptions options_;
   Vocabulary vocab_;
   Tokenizer tokenizer_;
-  std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<LoadController> controller_;
-  std::unique_ptr<ThreadedEngine> engine_;
-  // Multi-shard mode (sharding.num_shards > 1): the fabric replaces
-  // cluster_/engine_/durability_ wholesale; exactly one of the two stacks
-  // is ever live.
+  // Single-engine mode: one engine node (cluster, engine once started, WAL
+  // when durable). Multi-shard mode (sharding.num_shards > 1): the fabric,
+  // one node per shard. Exactly one of the two is ever live.
+  std::unique_ptr<EngineNode> node_;
   std::unique_ptr<ShardedEngine> fabric_;
-  std::unique_ptr<DurabilityManager> durability_;
   std::unique_ptr<RecoveredState> recovered_;
   std::unique_ptr<DeliveryRouter> delivery_;
   // Centralized top-k admission, hooked into the router (see

@@ -324,7 +324,6 @@ void ThreadedEngine::Start() {
   updates_submitted_.store(0);
   updates_published_.store(0);
   migrations_installed_.store(0, std::memory_order_relaxed);
-  audit_mismatches_.store(0, std::memory_order_relaxed);
   submitted_objects_ = submitted_inserts_ = submitted_deletes_ = 0;
   submit_pushed_.assign(static_cast<size_t>(num_dispatchers), 0);
   submit_rr_ = 0;
@@ -490,7 +489,7 @@ std::vector<MatchResult> ThreadedEngine::TakeMatches() {
 
 void ThreadedEngine::TakeMatches(std::vector<MatchResult>* out) {
   out->clear();
-  std::lock_guard<std::mutex> lock(merge_mu_);
+  std::lock_guard<std::mutex> lock(collect_mu_);
   // Swap rather than copy: the caller's (cleared) buffer becomes the new
   // collection target, so a consumer draining in a loop ping-pongs two
   // warmed buffers instead of reallocating per drain.
@@ -750,39 +749,21 @@ void ThreadedEngine::WorkerLoop(int w) {
             d.expire_us = m.expire_us;
             pending.push_back(d);
           };
-          if (!options_.merger_audit && !options_.collect_matches) {
-            // Hot path: per-shard dedup, no global lock.
-            for (const auto& m : matches) {
-              if (!accept_fresh(m)) {
-                ++ws.dedup_kills;
-                continue;
-              }
-              ++ws.dedup_fresh;
-              stage_delivery(m);
+          // Per-shard dedup, no global lock — except when collecting, which
+          // serializes so collected_ records matches in verdict order.
+          std::unique_lock<std::mutex> collect_lock(collect_mu_,
+                                                    std::defer_lock);
+          if (options_.collect_matches) collect_lock.lock();
+          for (const auto& m : matches) {
+            if (!accept_fresh(m)) {
+              ++ws.dedup_kills;
+              continue;
             }
-          } else {
-            // Audit / collection path: serialize so the merger replay sees
-            // matches in the same order the dedup window judged them (a
-            // cross-worker duplicate would otherwise be charged to
-            // different workers by the two filters and miscount as two
-            // mismatches).
-            std::lock_guard<std::mutex> lock(merge_mu_);
-            Merger& merger = cluster_.merger();
-            for (const auto& m : matches) {
-              const bool is_fresh = accept_fresh(m);
-              if (options_.merger_audit &&
-                  merger.Accept(m) != is_fresh) {
-                audit_mismatches_.fetch_add(1, std::memory_order_relaxed);
-              }
-              if (!is_fresh) {
-                ++ws.dedup_kills;
-                continue;
-              }
-              ++ws.dedup_fresh;
-              if (options_.collect_matches) collected_.push_back(m);
-              stage_delivery(m);
-            }
+            ++ws.dedup_fresh;
+            if (options_.collect_matches) collected_.push_back(m);
+            stage_delivery(m);
           }
+          if (collect_lock.owns_lock()) collect_lock.unlock();
           // Deliver outside all engine locks: a kBlock session may block
           // this worker on a full queue, and that must stall only this
           // worker.
@@ -1046,8 +1027,6 @@ RunReport ThreadedEngine::AssembleReport() {
                               : 0.0;
   report.wait_spins = submit_wait_.spins();
   report.wait_parks = submit_wait_.parks();
-  report.audit_mismatches =
-      audit_mismatches_.load(std::memory_order_relaxed);
   for (const auto& ws : workers_) {
     report.matches_emitted +=
         ws->matches_emitted.load(std::memory_order_relaxed);
@@ -1084,12 +1063,6 @@ RunReport ThreadedEngine::AssembleReport() {
   }
   report.routing_epochs = router_.version();
   return report;
-}
-
-RunReport RunThreaded(Cluster& cluster, const std::vector<StreamTuple>& input,
-                      const EngineOptions& options) {
-  ThreadedEngine engine(cluster, options);
-  return engine.Run(input);
 }
 
 }  // namespace ps2

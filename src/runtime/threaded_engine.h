@@ -45,9 +45,7 @@ namespace ps2 {
 //     matches through the delivery router's sharded (query, object) window
 //     (or an engine-local one when no router is wired) and delivers
 //     straight to the subscriber sessions — no cross-worker serialization
-//     point. EngineOptions::merger_audit additionally replays every match
-//     through the classic merger and counts disagreements, as an
-//     equivalence audit.
+//     point.
 //   - The optional controller thread runs the LoadController against live
 //     per-worker tallies. Migrations install live: query copies are placed
 //     at the destination first, the post-migration routing table is built
@@ -169,7 +167,6 @@ class ThreadedEngine : public Engine {
   // part of the controller's migration barrier.
   std::atomic<int> update_pushes_{0};
   std::atomic<uint64_t> migrations_installed_{0};
-  std::atomic<uint64_t> audit_mismatches_{0};
 
   // Submit-side state (single producer).
   uint64_t submitted_objects_ = 0;
@@ -181,7 +178,7 @@ class ThreadedEngine : public Engine {
   size_t submit_rr_ = 0;
   WaitContext submit_wait_{WaitStrategy::kBlocking};
 
-  std::mutex merge_mu_;
+  std::mutex collect_mu_;
   std::vector<MatchResult> collected_;
 
   std::mutex ctl_mu_;

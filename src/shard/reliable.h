@@ -238,7 +238,6 @@ class ReliableReceiver {
   }
 
   uint64_t epoch() const { return epoch_; }
-  uint64_t contiguous_upto() const { return upto_; }
 
  private:
   Order order_;

@@ -137,8 +137,7 @@ ShardedEngine::ShardedEngine(ShardedEngineConfig config, Vocabulary* vocab,
     owned_transport_ = std::make_unique<LoopbackTransport>();
     transport_ = owned_transport_.get();
   }
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   transport_->RegisterEndpoint(
       kFrontEndpoint, [this](ShardId from, const std::string& frame) {
         FrontReceive(from, frame);
@@ -154,20 +153,8 @@ void ShardedEngine::Bootstrap(const WorkloadSample& sample) {
   // Same plan construction as the single-engine facade: every shard indexes
   // against the identical plan, so cell ownership is the only thing that
   // distinguishes them.
-  auto partitioner = MakePartitioner(config_.partitioner);
-  PartitionPlan plan;
-  if (partitioner != nullptr && !sample.empty()) {
-    plan = partitioner->Build(sample, *vocab_, config_.partition);
-  } else {
-    plan.grid = GridSpec(sample.empty() ? Rect(0, 0, 1, 1) : sample.Bounds(),
-                         config_.partition.grid_k);
-    plan.num_workers = config_.partition.num_workers;
-    plan.cells.resize(plan.grid.NumCells());
-    for (CellId c = 0; c < plan.grid.NumCells(); ++c) {
-      plan.cells[c].worker =
-          static_cast<WorkerId>(c % config_.partition.num_workers);
-    }
-  }
+  PartitionPlan plan = EngineNode::BootstrapPlan(
+      config_.partitioner, sample, *vocab_, config_.partition);
 
   map_ = std::make_unique<ShardMapPublisher>(
       ShardMap::Uniform(plan.grid.NumCells(), config_.fabric.num_shards));
@@ -180,28 +167,27 @@ void ShardedEngine::Bootstrap(const WorkloadSample& sample) {
         !ec && WriteShardMapFile(ShardMapPath(config_.durability.dir),
                                  *map_->Current());
     if (durable_root_) {
-      for (auto& shard : shards_) InitShardDurability(*shard);
+      for (auto& shard : shards_) {
+        shard->node.InitDurability(ShardDurability(shard->id));
+      }
     }
   }
 }
 
 void ShardedEngine::StandUpShards(PartitionPlan plan, int num_shards) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   cell_queries_.assign(plan.grid.NumCells(), {});
   cell_objects_.assign(plan.grid.NumCells(), 0);
   supervisor_.SetPolicy(SupervisorPolicy{config_.fabric.max_restarts});
   supervisor_.Resize(static_cast<size_t>(num_shards));
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->id = static_cast<ShardId>(i);
+    auto shard =
+        std::make_unique<Shard>(static_cast<ShardId>(i), vocab_, config_);
     // Every shard gets a copy of the plan (CellRoute text routers are
     // shared_ptr, so the copies share the heavy term maps).
-    shard->cluster =
-        std::make_unique<Cluster>(plan, vocab_, config_.cluster);
-    shard->egress = std::make_unique<ShardEgress>(
-        this, shard->id, config_.dedup_window_capacity);
+    shard->node.Build(plan);
+    shard->egress = std::make_unique<ShardEgress>(this, shard->id);
     // Distinct jitter streams per shard and direction so a fleet under the
     // same fault schedule never retries in lockstep.
     const uint64_t seed = config_.fabric.link_seed +
@@ -217,21 +203,13 @@ void ShardedEngine::StandUpShards(PartitionPlan plan, int num_shards) {
   }
   // Keep the bootstrap geometry: a non-durable shard restarts onto it (the
   // query set is re-sent from the front registries).
-  base_plan_ = std::make_unique<PartitionPlan>(
-      shards_[0]->cluster->router().plan());
+  base_plan_ = std::make_unique<PartitionPlan>(std::move(plan));
 }
 
-void ShardedEngine::InitShardDurability(Shard& shard) {
+DurabilityConfig ShardedEngine::ShardDurability(ShardId s) const {
   DurabilityConfig config = config_.durability;
-  config.dir = ShardDirPath(config_.durability.dir, shard.id);
-  shard.durability = std::make_unique<DurabilityManager>(config);
-  CheckpointView view;
-  view.next_query_id = 1;
-  view.next_object_id = 1;
-  view.vocab = vocab_;
-  const PartitionPlan& current = shard.cluster->router().plan();
-  view.plan = &current;
-  if (!shard.durability->Initialize(view)) shard.durability.reset();
+  config.dir = ShardDirPath(config_.durability.dir, s);
+  return config;
 }
 
 // --- restore -----------------------------------------------------------------
@@ -270,34 +248,20 @@ bool ShardedEngine::Restore(const std::string& dir, Recovery* out) {
     if (i > 0) {
       // Re-seat shard i on its own recovered plan, remapped to the fabric
       // vocabulary (installed in-shard migrations may differ per shard).
-      shard.cluster = std::make_unique<Cluster>(
-          RemapPlan(std::move(state.plan), state.vocab, *vocab_), vocab_,
-          config_.cluster);
+      shard.node.Build(RemapPlan(std::move(state.plan), state.vocab, *vocab_));
     }
-    for (const STSQuery& recovered : state.queries) {
-      const STSQuery q = i == 0
-                             ? recovered
-                             : RemapQuery(recovered, state.vocab, *vocab_);
-      shard.cluster->Process(StreamTuple::OfInsert(q));
-      shard.applied.insert(q.id);
-      auto it = queries_.find(q.id);
-      if (it == queries_.end()) {
-        RegisterPlacement(q, ShardBit(shard.id));
-      } else {
-        query_shards_[q.id] |= ShardBit(shard.id);
-      }
-    }
-    shard.cluster->ResetLoadWindow();
-
-    DurabilityConfig config = config_.durability;
-    config.dir = ShardDirPath(dir, shard.id);
-    shard.durability = std::make_unique<DurabilityManager>(config);
-    const uint64_t resume_seq =
-        state.checkpoint_seq +
-        (state.wal_segments > 0
-             ? static_cast<uint64_t>(state.wal_segments) - 1
-             : 0);
-    if (!shard.durability->Resume(resume_seq, state.last_lsn + 1)) {
+    const bool resumed = shard.node.Recover(
+        state, ShardDurability(shard.id), [&](STSQuery& q) {
+          if (i > 0) q = RemapQuery(q, state.vocab, *vocab_);
+          shard.applied.insert(q.id);
+          if (queries_.count(q.id) == 0) {
+            RegisterPlacement(q, ShardBit(shard.id));
+          } else {
+            query_shards_[q.id] |= ShardBit(shard.id);
+          }
+          return true;
+        });
+    if (!resumed) {
       // A shard that recovered but cannot log again would silently lose
       // every post-restore mutation; fail the whole fleet restore.
       shards_.clear();
@@ -333,8 +297,7 @@ bool ShardedEngine::Restore(const std::string& dir, Recovery* out) {
 void ShardedEngine::RegisterPlacement(const STSQuery& query, uint64_t mask) {
   queries_[query.id] = query;
   query_shards_[query.id] = mask;
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  grid.CellsOverlapping(query.region, &overlap_scratch_);
+  grid().CellsOverlapping(query.region, &overlap_scratch_);
   for (const CellId c : overlap_scratch_) {
     cell_queries_[c].push_back(query.id);
   }
@@ -343,8 +306,7 @@ void ShardedEngine::RegisterPlacement(const STSQuery& query, uint64_t mask) {
 void ShardedEngine::ForgetPlacement(QueryId id) {
   auto it = queries_.find(id);
   if (it == queries_.end()) return;
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  grid.CellsOverlapping(it->second.region, &overlap_scratch_);
+  grid().CellsOverlapping(it->second.region, &overlap_scratch_);
   for (const CellId c : overlap_scratch_) {
     auto& list = cell_queries_[c];
     list.erase(std::remove(list.begin(), list.end(), id), list.end());
@@ -353,29 +315,39 @@ void ShardedEngine::ForgetPlacement(QueryId id) {
   query_shards_.erase(id);
 }
 
+uint64_t ShardedEngine::OwnerMask(const Rect& region) {
+  const auto map = map_->Current();
+  grid().CellsOverlapping(region, &overlap_scratch_);
+  uint64_t mask = 0;
+  for (const CellId c : overlap_scratch_) mask |= ShardBit(map->OwnerOf(c));
+  return mask != 0 ? mask : ShardBit(0);
+}
+
+Status ShardedEngine::RefuseQuarantined(uint64_t mask, const char* what) {
+  for (const auto& shard : shards_) {
+    if ((mask & ShardBit(shard->id)) && supervisor_.quarantined(shard->id)) {
+      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Unavailable(std::string(what) + " quarantined shard " +
+                                 std::to_string(shard->id));
+    }
+  }
+  return Status::Ok();
+}
+
 uint64_t ShardedEngine::query_shard_mask(QueryId id) const {
   auto it = query_shards_.find(id);
   return it == query_shards_.end() ? 0 : it->second;
 }
 
 Status ShardedEngine::Subscribe(const STSQuery& query) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   PumpDeferred();
-  const auto map = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  grid.CellsOverlapping(query.region, &overlap_scratch_);
-  uint64_t mask = 0;
-  for (const CellId c : overlap_scratch_) mask |= ShardBit(map->OwnerOf(c));
-  if (mask == 0 && !shards_.empty()) mask = ShardBit(0);
+  const uint64_t mask = OwnerMask(query.region);
   // Refuse up-front when any owner is quarantined: a partially indexed
   // query would silently miss matches in the quarantined cells.
-  for (const auto& shard : shards_) {
-    if ((mask & ShardBit(shard->id)) && supervisor_.quarantined(shard->id)) {
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("query region overlaps quarantined shard " +
-                                 std::to_string(shard->id));
-    }
+  if (Status st = RefuseQuarantined(mask, "query region overlaps");
+      !st.ok()) {
+    return st;
   }
   RegisterPlacement(query, mask);
   const std::string frame = EncodeQueryFrame(FrameKind::kQueryInsert, query);
@@ -401,8 +373,7 @@ Status ShardedEngine::Subscribe(const STSQuery& query) {
 }
 
 Status ShardedEngine::Unsubscribe(QueryId id) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   PumpDeferred();
   auto it = queries_.find(id);
   if (it == queries_.end()) return Status::Ok();
@@ -433,35 +404,18 @@ Status ShardedEngine::Unsubscribe(QueryId id) {
 
 Status ShardedEngine::Update(const STSQuery& old_query,
                              const STSQuery& new_query) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   PumpDeferred();
-  const auto map = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  grid.CellsOverlapping(old_query.region, &overlap_scratch_);
-  uint64_t old_mask = 0;
-  for (const CellId c : overlap_scratch_) {
-    old_mask |= ShardBit(map->OwnerOf(c));
-  }
-  if (old_mask == 0 && !shards_.empty()) old_mask = ShardBit(0);
-  grid.CellsOverlapping(new_query.region, &overlap_scratch_);
-  uint64_t new_mask = 0;
-  for (const CellId c : overlap_scratch_) {
-    new_mask |= ShardBit(map->OwnerOf(c));
-  }
-  if (new_mask == 0 && !shards_.empty()) new_mask = ShardBit(0);
+  const uint64_t old_mask = OwnerMask(old_query.region);
+  const uint64_t new_mask = OwnerMask(new_query.region);
 
   // Refuse up-front when any owner of either placement is quarantined: a
   // half-applied move would either leak the old placement or miss matches
   // in the new region.
-  for (const auto& shard : shards_) {
-    if (((old_mask | new_mask) & ShardBit(shard->id)) &&
-        supervisor_.quarantined(shard->id)) {
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable(
-          "subscription update touches quarantined shard " +
-          std::to_string(shard->id));
-    }
+  if (Status st = RefuseQuarantined(old_mask | new_mask,
+                                    "subscription update touches");
+      !st.ok()) {
+    return st;
   }
 
   ForgetPlacement(old_query.id);
@@ -489,12 +443,10 @@ Status ShardedEngine::Update(const STSQuery& old_query,
 
 Status ShardedEngine::Post(const SpatioTextualObject& object,
                            int64_t publish_us) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   PumpDeferred();
   const auto map = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
-  const CellId cell = grid.CellOf(object.loc);
+  const CellId cell = grid().CellOf(object.loc);
   const ShardId owner = map->OwnerOf(cell);
   if (supervisor_.quarantined(owner)) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -532,8 +484,7 @@ void ShardedEngine::SendToShard(ShardId shard, const std::string& frame) {
 // --- reliable-link plumbing --------------------------------------------------
 
 Status ShardedEngine::SendControl(ShardId s, std::string inner) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   if (supervisor_.quarantined(s)) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("shard " + std::to_string(s) +
@@ -548,8 +499,7 @@ Status ShardedEngine::SendControl(ShardId s, std::string inner) {
 }
 
 Status ShardedEngine::FlushControl(ShardId s) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   Shard& shard = *shards_[static_cast<size_t>(s)];
   while (true) {
     if (supervisor_.quarantined(s)) {
@@ -579,12 +529,7 @@ Status ShardedEngine::FlushControl(ShardId s) {
       if (!st.ok()) return st;
       continue;
     }
-    for (ReliableSender::Outgoing& o : due) {
-      if (o.is_retry) frame_retries_.fetch_add(1, std::memory_order_relaxed);
-      if (!transport_->Send(kFrontEndpoint, s, o.envelope)) {
-        transport_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    SendDue(kFrontEndpoint, s, due);
     if (due.empty()) SleepUntilDue(next_due);
   }
 }
@@ -615,12 +560,7 @@ Status ShardedEngine::FlushEgress(ShardId s) {
       LocalDrainEgress(shard);
       return Status::Ok();
     }
-    for (ReliableSender::Outgoing& o : due) {
-      if (o.is_retry) frame_retries_.fetch_add(1, std::memory_order_relaxed);
-      if (!transport_->Send(shard.id, kFrontEndpoint, o.envelope)) {
-        transport_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    SendDue(shard.id, kFrontEndpoint, due);
     if (due.empty()) SleepUntilDue(next_due);
   }
 }
@@ -635,9 +575,14 @@ void ShardedEngine::EnqueueEgress(Shard& shard, std::string inner) {
       shard.match_out.CollectDue(MonoUs(), &due);
     }
   }
-  for (ReliableSender::Outgoing& o : due) {
+  SendDue(shard.id, kFrontEndpoint, due);
+}
+
+void ShardedEngine::SendDue(ShardId from, ShardId to,
+                            const std::vector<ReliableSender::Outgoing>& due) {
+  for (const ReliableSender::Outgoing& o : due) {
     if (o.is_retry) frame_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (!transport_->Send(shard.id, kFrontEndpoint, o.envelope)) {
+    if (!transport_->Send(from, to, o.envelope)) {
       transport_errors_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -708,11 +653,9 @@ Status ShardedEngine::HandleShardFailure(ShardId s) {
 
 bool ShardedEngine::RestartShard(Shard& shard) {
   if (shard.permanently_failed) return false;
-  // 1. Tear down the dead incarnation (Abort: no graceful drain to wait on).
-  if (shard.engine != nullptr) {
-    if (shard.engine->running()) shard.engine->Abort();
-    shard.engine.reset();
-  }
+  // 1. Tear down the dead incarnation: abort the engine (no graceful drain
+  //    to wait on) and close its WAL so recovery reads a settled directory.
+  shard.node.Crash(/*abandon_wal=*/false);
   // 2. Salvage matches it accepted but never got acked for — the recovery
   //    guarantee that makes kill+restart invisible to exact equivalence.
   LocalDrainEgress(shard);
@@ -721,51 +664,35 @@ bool ShardedEngine::RestartShard(Shard& shard) {
     std::lock_guard<std::mutex> lock(shard.deferred_mu);
     shard.deferred.clear();
   }
-  shard.egress = std::make_unique<ShardEgress>(
-      this, shard.id, config_.dedup_window_capacity);
-  shard.durability.reset();
+  shard.egress = std::make_unique<ShardEgress>(this, shard.id);
 
   // 4. Rebuild the index: from the shard's own durable directory when the
   //    fabric is durable, from the bootstrap geometry otherwise (queries
-  //    are restored by the registry resync below either way).
+  //    are restored by the registry resync below either way). A shard
+  //    whose WAL cannot resume keeps serving, non-durable.
   const uint64_t bit = ShardBit(shard.id);
   shard.applied.clear();
   bool recovered = false;
   if (durable_root_) {
-    const std::string dir = ShardDirPath(config_.durability.dir, shard.id);
+    const DurabilityConfig config = ShardDurability(shard.id);
     RecoveredState state;
-    if (RecoverState(dir, &state)) {
-      shard.cluster = std::make_unique<Cluster>(
-          RemapPlan(std::move(state.plan), state.vocab, *vocab_), vocab_,
-          config_.cluster);
-      for (const STSQuery& rq : state.queries) {
+    if (RecoverState(config.dir, &state)) {
+      shard.node.Build(RemapPlan(std::move(state.plan), state.vocab, *vocab_));
+      shard.node.Recover(state, config, [&](STSQuery& q) {
         // Skip queries the front unsubscribed (or migrated away) while the
         // shard was down — their delete frames may be gone for good.
-        auto it = query_shards_.find(rq.id);
-        if (it == query_shards_.end() || !(it->second & bit)) continue;
-        const STSQuery q = RemapQuery(rq, state.vocab, *vocab_);
-        shard.cluster->Process(StreamTuple::OfInsert(q));
+        const auto it = query_shards_.find(q.id);
+        if (it == query_shards_.end() || !(it->second & bit)) return false;
+        q = RemapQuery(q, state.vocab, *vocab_);
         shard.applied.insert(q.id);
-      }
-      shard.cluster->ResetLoadWindow();
-      DurabilityConfig config = config_.durability;
-      config.dir = dir;
-      auto durability = std::make_unique<DurabilityManager>(config);
-      const uint64_t resume_seq =
-          state.checkpoint_seq +
-          (state.wal_segments > 0
-               ? static_cast<uint64_t>(state.wal_segments) - 1
-               : 0);
-      if (durability->Resume(resume_seq, state.last_lsn + 1)) {
-        shard.durability = std::move(durability);
-      }
+        return true;
+      });
       recovered = true;
     }
   }
   if (!recovered) {
     if (base_plan_ == nullptr) return false;
-    shard.cluster =
-        std::make_unique<Cluster>(*base_plan_, vocab_, config_.cluster);
+    shard.node.Build(*base_plan_);
   }
 
   // 5. Reconcile: queries the registry places here that the rebuilt index
@@ -797,15 +724,7 @@ bool ShardedEngine::RestartShard(Shard& shard) {
 
   // 7. Back to life.
   shard.dead.store(false, std::memory_order_release);
-  if (started_) {
-    EngineOptions opts = config_.engine;
-    if (shard.durability != nullptr) {
-      opts.wal = &shard.durability->wal();
-    }
-    opts.delivery = shard.egress.get();
-    shard.engine = std::make_unique<ThreadedEngine>(*shard.cluster, opts);
-    shard.engine->Start();
-  }
+  if (started_) shard.node.Start(shard.egress.get());
   return true;
 }
 
@@ -814,10 +733,7 @@ void ShardedEngine::QuarantineShard(ShardId s) {
   supervisor_.Quarantine(s);
   quarantine_events_.fetch_add(1, std::memory_order_relaxed);
   shard.dead.store(true, std::memory_order_release);
-  if (shard.engine != nullptr) {
-    if (shard.engine->running()) shard.engine->Abort();
-    shard.engine.reset();
-  }
+  shard.node.Crash(/*abandon_wal=*/false);
   // Accepted matches still get out; queued control frames die with the
   // shard (the caller's status reports the loss).
   LocalDrainEgress(shard);
@@ -831,7 +747,6 @@ void ShardedEngine::QuarantineShard(ShardId s) {
     std::lock_guard<std::mutex> lock(shard.deferred_mu);
     shard.deferred.clear();
   }
-  shard.durability.reset();
 }
 
 Status ShardedEngine::CheckHealth() {
@@ -856,21 +771,13 @@ void ShardedEngine::KillShard(ShardId s, bool allow_restart) {
   Shard& shard = *shards_[static_cast<size_t>(s)];
   shard.dead.store(true, std::memory_order_release);
   shard.permanently_failed = !allow_restart;
-  if (shard.engine != nullptr) {
-    if (shard.engine->running()) shard.engine->Abort();
-    shard.engine.reset();
-  }
-  if (shard.durability != nullptr) {
-    // Crash semantics: unwritten WAL batch is lost; on-disk state is what
-    // the sync mode had already guaranteed.
-    shard.durability->Abandon();
-    shard.durability.reset();
-  }
+  // Crash semantics: unwritten WAL batch is lost; on-disk state is what the
+  // sync mode had already guaranteed.
+  shard.node.Crash();
 }
 
 Status ShardedEngine::ReviveShard(ShardId s) {
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   Shard& shard = *shards_[static_cast<size_t>(s)];
   shard.permanently_failed = false;
   supervisor_.Clear(s);
@@ -888,7 +795,8 @@ Status ShardedEngine::ReviveShard(ShardId s) {
 
 Status ShardedEngine::durability_status() const {
   for (const auto& shard : shards_) {
-    if (shard->durability != nullptr && !shard->durability->healthy()) {
+    const DurabilityManager* dm = shard->node.durability();
+    if (dm != nullptr && !dm->healthy()) {
       return Status::DataLoss("shard " + std::to_string(shard->id) +
                               " WAL hit a sticky I/O error");
     }
@@ -968,7 +876,7 @@ void ShardedEngine::ApplyControl(Shard& shard, Frame& f) {
       // Flush barrier: everything submitted before the marker is fully
       // processed (including match handoff) before the ack token travels
       // back on the match link — behind every match it must trail.
-      if (shard.engine != nullptr) shard.engine->Quiesce();
+      shard.node.Quiesce();
       EnqueueEgress(shard,
                     EncodeDrainFrame(FrameKind::kDrainAck, f.drain_token));
       return;
@@ -982,94 +890,34 @@ void ShardedEngine::ApplyControl(Shard& shard, Frame& f) {
 
 void ShardedEngine::ShardApply(Shard& shard, const Frame& f) {
   switch (f.kind) {
-    case FrameKind::kObject: {
-      const StreamTuple tuple = StreamTuple::OfObject(f.object);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(tuple, f.publish_us);
-        return;
-      }
-      std::vector<MatchResult> fresh;
-      shard.cluster->Process(tuple, &fresh);
-      std::vector<Delivery> accepted;
-      accepted.reserve(fresh.size());
-      for (const MatchResult& m : fresh) {
-        if (shard.egress->AcceptFresh(m.query_id, m.object_id)) {
-          Delivery d;
-          d.query_id = m.query_id;
-          d.object_id = m.object_id;
-          d.publish_us = f.publish_us;
-          d.score = m.score;
-          d.expire_us = m.expire_us;
-          accepted.push_back(d);
-        }
-      }
-      if (!accepted.empty()) {
-        shard.egress->DeliverBatch(accepted.data(), accepted.size());
-      }
+    case FrameKind::kObject:
+      shard.node.Publish(f.object, f.publish_us, shard.egress.get());
       return;
-    }
-    case FrameKind::kQueryInsert: {
+    case FrameKind::kQueryInsert:
       // The applied set makes redelivery idempotent: a restart replays
       // every unacked frame, and an insert that already landed (its ack was
-      // the casualty) must not double-index.
-      if (shard.applied.count(f.query.id) != 0) return;
-      shard.applied.insert(f.query.id);
-      // WAL-before-apply, against this shard's own log: the copy phase of a
+      // the casualty) must not double-index. The node journals the insert
+      // to this shard's own WAL before applying, so the copy phase of a
       // cross-shard migration is durable the same way a fresh subscribe is.
-      if (shard.durability != nullptr) {
-        shard.durability->wal().AppendSubscribe(f.query, *vocab_);
-      }
-      const StreamTuple tuple = StreamTuple::OfInsert(f.query);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(tuple);
-      } else {
-        shard.cluster->Process(tuple);
-      }
+      if (!shard.applied.insert(f.query.id).second) return;
+      shard.node.Insert(f.query);
       return;
-    }
     case FrameKind::kQueryUpdate: {
-      // Delete-then-insert under one frame: the delete (old region) must
-      // come first because a same-id insert binds the existing index slot.
-      // Redelivery converges — the delete of an already-moved placement is
-      // a partial no-op and the re-insert lands on the same slot.
-      const bool had = shard.applied.count(f.query.id) != 0;
-      shard.applied.insert(f.query.id);
-      if (shard.durability != nullptr) {
-        shard.durability->wal().AppendUpdate(f.query, *vocab_);
-      }
-      if (had) {
-        STSQuery old_query = f.query;
-        old_query.region = f.old_region;
-        const StreamTuple del = StreamTuple::OfDelete(old_query);
-        if (shard.engine != nullptr) {
-          shard.engine->Submit(del);
-        } else {
-          shard.cluster->Process(del);
-        }
-      }
-      const StreamTuple ins = StreamTuple::OfInsert(f.query);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(ins);
-      } else {
-        shard.cluster->Process(ins);
-      }
+      // Delete-then-insert under one frame. Redelivery converges — the
+      // delete of an already-moved placement is a partial no-op and the
+      // re-insert lands on the same slot.
+      const bool had = !shard.applied.insert(f.query.id).second;
+      STSQuery old_query = f.query;
+      old_query.region = f.old_region;
+      shard.node.Update(had ? &old_query : nullptr, f.query);
       return;
     }
-    case FrameKind::kQueryDelete: {
+    case FrameKind::kQueryDelete:
       // Same idempotency in reverse: deleting a query this incarnation
       // never indexed is a no-op (it was reconciled away at restart).
       if (shard.applied.erase(f.query.id) == 0) return;
-      if (shard.durability != nullptr) {
-        shard.durability->wal().AppendUnsubscribe(f.query.id);
-      }
-      const StreamTuple tuple = StreamTuple::OfDelete(f.query);
-      if (shard.engine != nullptr) {
-        shard.engine->Submit(tuple);
-      } else {
-        shard.cluster->Process(tuple);
-      }
+      shard.node.Delete(f.query);
       return;
-    }
     default:
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -1156,9 +1004,8 @@ void ShardedEngine::DataPlaneFill(uint64_t* pending,
                                   uint64_t* capacity) const {
   uint64_t p = 0, c = 0;
   for (const auto& shard : shards_) {
-    if (shard->engine == nullptr) continue;
     uint64_t sp = 0, sc = 0;
-    shard->engine->DataPlaneFill(&sp, &sc);
+    shard->node.DataPlaneFill(&sp, &sc);
     p += sp;
     c += sc;
   }
@@ -1169,15 +1016,9 @@ void ShardedEngine::DataPlaneFill(uint64_t* pending,
 void ShardedEngine::Start() {
   if (!bootstrapped() || started_) return;
   for (auto& shard : shards_) {
-    if (supervisor_.quarantined(shard->id)) continue;
-    EngineOptions opts = config_.engine;
-    if (shard->durability != nullptr) {
-      opts.wal = &shard->durability->wal();
+    if (!supervisor_.quarantined(shard->id)) {
+      shard->node.Start(shard->egress.get());
     }
-    opts.delivery = shard->egress.get();
-    shard->engine =
-        std::make_unique<ThreadedEngine>(*shard->cluster, opts);
-    shard->engine->Start();
   }
   started_ = true;
 }
@@ -1185,18 +1026,10 @@ void ShardedEngine::Start() {
 RunReport ShardedEngine::Stop() {
   RunReport fleet;
   if (!started_) return fleet;
-  control_thread_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
+  PinControlThread();
   PumpDeferred();
   shard_reports_.clear();
-  for (auto& shard : shards_) {
-    if (shard->engine != nullptr) {
-      shard_reports_.push_back(shard->engine->Stop());
-      shard->engine.reset();
-    } else {
-      shard_reports_.push_back(RunReport());
-    }
-  }
+  for (auto& shard : shards_) shard_reports_.push_back(shard->node.Stop());
   started_ = false;
   // Everything the engines produced on their way out still has to cross
   // the match links (retransmitting what the transport dropped).
@@ -1231,9 +1064,8 @@ bool ShardedEngine::durable() const {
   if (!durable_root_) return false;
   for (const auto& shard : shards_) {
     if (supervisor_.quarantined(shard->id)) continue;
-    if (shard->durability == nullptr || !shard->durability->healthy()) {
-      return false;
-    }
+    const DurabilityManager* dm = shard->node.durability();
+    if (dm == nullptr || !dm->healthy()) return false;
   }
   return !shards_.empty();
 }
@@ -1245,23 +1077,9 @@ bool ShardedEngine::Checkpoint(QueryId next_query_id,
   bool ok = true;
   for (auto& shard : shards_) {
     if (supervisor_.quarantined(shard->id)) continue;
-    if (shard->durability == nullptr) {
-      ok = false;
-      continue;
-    }
-    const uint64_t seq = shard->durability->BeginCheckpoint();
-    if (seq == 0) {
-      ok = false;
-      continue;
-    }
     CheckpointView view;
     view.next_query_id = next_query_id;
     view.next_object_id = next_object_id;
-    view.vocab = vocab_;
-    PartitionPlan plan = shard->engine != nullptr
-                             ? shard->engine->PlanCopy()
-                             : shard->cluster->router().plan();
-    view.plan = &plan;
     const uint64_t bit = ShardBit(shard->id);
     for (const auto& [id, q] : queries_) {
       if (query_shards_[id] & bit) view.queries.push_back(&q);
@@ -1269,7 +1087,7 @@ bool ShardedEngine::Checkpoint(QueryId next_query_id,
     // The front's top-k heap state rides every shard's checkpoint so
     // restore survives the loss of any one shard directory.
     view.topk = topk;
-    ok = shard->durability->CommitCheckpoint(seq, std::move(view)) && ok;
+    ok = shard->node.Checkpoint(std::move(view)) && ok;
   }
   ok = WriteShardMapFile(ShardMapPath(config_.durability.dir),
                          *map_->Current()) &&
@@ -1279,8 +1097,8 @@ bool ShardedEngine::Checkpoint(QueryId next_query_id,
 
 bool ShardedEngine::ShouldCheckpoint() const {
   for (const auto& shard : shards_) {
-    if (shard->durability != nullptr &&
-        shard->durability->ShouldCheckpoint()) {
+    const DurabilityManager* dm = shard->node.durability();
+    if (dm != nullptr && dm->ShouldCheckpoint()) {
       return true;
     }
   }
@@ -1290,12 +1108,7 @@ bool ShardedEngine::ShouldCheckpoint() const {
 void ShardedEngine::Kill() {
   for (auto& shard : shards_) {
     shard->dead.store(true, std::memory_order_release);
-    if (shard->engine != nullptr && shard->engine->running()) {
-      shard->engine->Abort();
-    }
-    shard->engine.reset();
-    if (shard->durability != nullptr) shard->durability->Abandon();
-    shard->durability.reset();
+    shard->node.Crash();
   }
   started_ = false;
 }
@@ -1371,7 +1184,6 @@ ShardMigrationStats ShardedEngine::MigrateCell(CellId cell, ShardId from,
   // any `from`-owned cell under the new map. In-flight duplicates this
   // window can still produce die in the front router's dedup window.
   const auto published = map_->Current();
-  const GridSpec& grid = shards_[0]->cluster->router().plan().grid;
   const uint64_t from_bit = ShardBit(from);
   std::vector<QueryId> shed = cell_queries_[cell];
   for (const QueryId id : shed) {
@@ -1379,7 +1191,7 @@ ShardMigrationStats ShardedEngine::MigrateCell(CellId cell, ShardId from,
     if (it == queries_.end()) continue;
     uint64_t& mask = query_shards_[id];
     if (!(mask & from_bit)) continue;
-    grid.CellsOverlapping(it->second.region, &overlap_scratch_);
+    grid().CellsOverlapping(it->second.region, &overlap_scratch_);
     bool still_needed = false;
     for (const CellId c : overlap_scratch_) {
       if (published->OwnerOf(c) == from) {

@@ -18,8 +18,8 @@
 #include "common/dedup_window.h"
 #include "core/workload_stats.h"
 #include "persist/durability.h"
+#include "runtime/engine_node.h"
 #include "runtime/metrics.h"
-#include "runtime/threaded_engine.h"
 #include "shard/reliable.h"
 #include "shard/shard_map.h"
 #include "shard/supervisor.h"
@@ -73,7 +73,6 @@ struct ShardedEngineConfig {
   ClusterOptions cluster;
   EngineOptions engine;          // per-shard threaded engine
   DurabilityConfig durability;   // dir = fabric root; shard-<i>/ underneath
-  size_t dedup_window_capacity = 1 << 16;  // per-shard egress dedup
 };
 
 // Cross-shard migration outcome (the fabric analogue of MigrationStats).
@@ -95,9 +94,10 @@ struct FabricFaultStats {
   uint64_t shards_quarantined = 0; // quarantine events
 };
 
-// N engine shards behind the unchanged PS2Stream facade. Each shard is a
-// full Cluster over the *complete* partition plan (and, in started mode, a
-// ThreadedEngine running it); ownership is defined solely by the ShardMap:
+// N engine shards behind the unchanged PS2Stream facade. Each shard is one
+// EngineNode (runtime/engine_node.h) — the same Cluster + ThreadedEngine +
+// WAL stack the single-engine facade runs — over the *complete* partition
+// plan; ownership is defined solely by the ShardMap:
 //
 //   front (facade thread)                         shard i
 //   ─────────────────────                         ───────
@@ -280,10 +280,8 @@ class ShardedEngine {
   std::shared_ptr<const ShardMap> shard_map() const {
     return map_->Current();
   }
-  Cluster& shard_cluster(ShardId s) { return *shards_[s]->cluster; }
-  ThreadedEngine* shard_engine(ShardId s) {
-    return shards_[s]->engine.get();
-  }
+  Cluster& shard_cluster(ShardId s) { return shards_[s]->node.cluster(); }
+  ThreadedEngine* shard_engine(ShardId s) { return shards_[s]->node.engine(); }
   const std::vector<RunReport>& shard_reports() const {
     return shard_reports_;
   }
@@ -300,7 +298,7 @@ class ShardedEngine {
   // Per-shard durability manager (nullptr: durability off or shard
   // quarantined) — failure drills trip its WAL from here.
   DurabilityManager* shard_durability(ShardId s) {
-    return shards_[static_cast<size_t>(s)]->durability.get();
+    return shards_[static_cast<size_t>(s)]->node.durability();
   }
 
  private:
@@ -312,8 +310,11 @@ class ShardedEngine {
   // can re-emit matches the dead one produced but never shipped.
   class ShardEgress final : public DeliverySink {
    public:
-    ShardEgress(ShardedEngine* owner, ShardId shard, size_t window_capacity)
-        : owner_(owner), shard_(shard), dedup_(window_capacity) {}
+    // (query, object) pairs each shard's egress window remembers.
+    static constexpr size_t kDedupWindow = 1 << 16;
+
+    ShardEgress(ShardedEngine* owner, ShardId shard)
+        : owner_(owner), shard_(shard), dedup_(kDedupWindow) {}
 
     bool AcceptFresh(QueryId query_id, ObjectId object_id) override {
       return dedup_.AcceptFresh(query_id, object_id);
@@ -328,10 +329,12 @@ class ShardedEngine {
   };
 
   struct Shard {
-    ShardId id = 0;
-    std::unique_ptr<Cluster> cluster;
-    std::unique_ptr<ThreadedEngine> engine;
-    std::unique_ptr<DurabilityManager> durability;
+    Shard(ShardId shard_id, const Vocabulary* vocab,
+          const ShardedEngineConfig& config)
+        : id(shard_id), node(vocab, config.cluster, config.engine) {}
+
+    ShardId id;
+    EngineNode node;
     std::unique_ptr<ShardEgress> egress;
 
     // --- fault-tolerance state ---------------------------------------------
@@ -362,7 +365,10 @@ class ShardedEngine {
   };
 
   void StandUpShards(PartitionPlan plan, int num_shards);
-  void InitShardDurability(Shard& shard);
+  // Shard `s`'s durable directory config: the fabric's, at <root>/shard-<s>.
+  DurabilityConfig ShardDurability(ShardId s) const;
+  // The plan geometry every shard shares.
+  const GridSpec& grid() const { return base_plan_->grid; }
   // Transport receive handlers.
   void ShardReceive(Shard& shard, ShardId from, const std::string& frame);
   void FrontReceive(ShardId from, const std::string& frame);
@@ -371,8 +377,8 @@ class ShardedEngine {
   void AcceptControl(Shard& shard, Frame&& f);
   // Applies one released control frame: drain barrier, ping, or ShardApply.
   void ApplyControl(Shard& shard, Frame& f);
-  // Applies a decoded control frame on a shard (WAL-before-apply; Submit in
-  // started mode, inline Process otherwise).
+  // Applies a decoded control frame on a shard's node (idempotent against
+  // redelivery through the applied set).
   void ShardApply(Shard& shard, const Frame& f);
   // Applies one frame released by a shard's match link at the front.
   void ApplyFromShard(Frame& f);
@@ -389,6 +395,9 @@ class ShardedEngine {
   Status FlushEgress(ShardId s);
   // Hands `inner` to the shard's match link and ships whatever is due.
   void EnqueueEgress(Shard& shard, std::string inner);
+  // Transmits due envelopes `from` -> `to`, counting retries and failures.
+  void SendDue(ShardId from, ShardId to,
+               const std::vector<ReliableSender::Outgoing>& due);
   // ShardEgress entry: ships one match-batch frame from shard `s`.
   void ShipMatches(ShardId s, std::string frame);
   // Applies frames deferred from foreign threads (facade thread only).
@@ -408,6 +417,11 @@ class ShardedEngine {
   void QuarantineShard(ShardId s);
 
   void SendToShard(ShardId shard, const std::string& frame);
+  // Shards owning a cell `region` overlaps (shard 0 when none does).
+  uint64_t OwnerMask(const Rect& region);
+  // kUnavailable ("<what> quarantined shard <i>", counting the dropped
+  // frame) when a shard in `mask` is quarantined.
+  Status RefuseQuarantined(uint64_t mask, const char* what);
   // Registry maintenance.
   void RegisterPlacement(const STSQuery& query, uint64_t mask);
   void ForgetPlacement(QueryId id);
@@ -430,6 +444,10 @@ class ShardedEngine {
   // The thread driving the control plane (re-pinned at every control op);
   // receive handlers use it to tell inline delivery from a foreign thread.
   std::atomic<std::thread::id> control_thread_;
+  void PinControlThread() {
+    control_thread_.store(std::this_thread::get_id(),
+                          std::memory_order_relaxed);
+  }
 
   // Front placement registries (facade thread only).
   std::unordered_map<QueryId, uint64_t> query_shards_;  // shard bitmask

@@ -74,21 +74,8 @@ class ShardSupervisor {
     }
     return false;
   }
-  uint64_t quarantined_count() const {
-    uint64_t n = 0;
-    for (const State& st : states_) n += st.quarantined ? 1 : 0;
-    return n;
-  }
   uint64_t restarts(ShardId s) const {
     return states_[static_cast<size_t>(s)].restarts;
-  }
-  uint64_t total_restarts() const {
-    uint64_t n = 0;
-    for (const State& st : states_) n += st.restarts;
-    return n;
-  }
-  int failure_streak(ShardId s) const {
-    return states_[static_cast<size_t>(s)].failures;
   }
 
  private:

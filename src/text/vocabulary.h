@@ -1,7 +1,9 @@
 #ifndef PS2_TEXT_VOCABULARY_H_
 #define PS2_TEXT_VOCABULARY_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,9 +26,20 @@ inline constexpr TermId kInvalidTerm = ~TermId{0};
 // Frequencies here are corpus statistics (counted over a sample of objects),
 // not live counters; the paper's dispatchers likewise rely on a frequency
 // profile of the stream.
+//
+// Concurrency: one owner thread interns and counts, while any number of
+// reader threads (a started engine's dispatchers) may call Count,
+// LeastFrequent, TermString and size() concurrently. Entries live in
+// chunks that are never reallocated, so growth never moves an element a
+// reader can reach; counts are relaxed atomics, and each entry points at its
+// term's key in the index (map nodes never move either).
 class Vocabulary {
  public:
   Vocabulary() = default;
+  Vocabulary(const Vocabulary& other) { *this = other; }
+  Vocabulary(Vocabulary&& other) noexcept { *this = std::move(other); }
+  Vocabulary& operator=(const Vocabulary& other);
+  Vocabulary& operator=(Vocabulary&& other) noexcept;
 
   // Interns `term`, returning its id. Does not change counts.
   TermId Intern(const std::string& term);
@@ -34,18 +47,18 @@ class Vocabulary {
   // Returns the id of `term`, or kInvalidTerm if never interned.
   TermId Lookup(const std::string& term) const;
 
-  const std::string& TermString(TermId id) const { return terms_[id]; }
+  const std::string& TermString(TermId id) const { return *At(id).term; }
 
   // Adds `n` observed occurrences of `id`.
   void AddCount(TermId id, uint64_t n = 1);
 
   uint64_t Count(TermId id) const {
-    return id < counts_.size() ? counts_[id] : 0;
+    return id < size() ? At(id).count.load(std::memory_order_relaxed) : 0;
   }
 
   uint64_t TotalCount() const { return total_count_; }
 
-  size_t size() const { return terms_.size(); }
+  size_t size() const { return size_.load(std::memory_order_acquire); }
 
   // Returns the TermId with the smallest occurrence count among `ids`
   // (ties broken by smaller id). `ids` must be non-empty.
@@ -64,9 +77,31 @@ class Vocabulary {
   size_t MemoryBytes() const;
 
  private:
+  // Trivially constructible: a fresh chunk stays untouched — and out of
+  // the resident set — until Append writes its entries.
+  struct Entry {
+    const std::string* term;  // key of the term's index_ node
+    std::atomic<uint64_t> count;
+  };
+  // Chunk k holds kFirstChunk << k entries, so 26 chunks cover every TermId.
+  static constexpr int kFirstChunkLog2 = 6;
+  static constexpr size_t kFirstChunk = size_t{1} << kFirstChunkLog2;
+  static constexpr int kChunks = 32 - kFirstChunkLog2;
+
+  static int ChunkOf(size_t id) {
+    return 63 - __builtin_clzll(id + kFirstChunk) - kFirstChunkLog2;
+  }
+  Entry& At(size_t id) const {
+    const int k = ChunkOf(id);
+    return chunks_[k][id + kFirstChunk - (kFirstChunk << k)];
+  }
+  // Publishes a new entry (owner thread); readers see it once size() does.
+  TermId Append(const std::string* term, uint64_t count);
+  void Clear();
+
   std::unordered_map<std::string, TermId> index_;
-  std::vector<std::string> terms_;
-  std::vector<uint64_t> counts_;
+  std::unique_ptr<Entry[]> chunks_[kChunks];
+  std::atomic<size_t> size_{0};
   uint64_t total_count_ = 0;
 };
 

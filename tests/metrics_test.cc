@@ -213,7 +213,6 @@ RunReport MakeWorstCaseReport() {
   r.rate_limited = big;
   r.overload_trips = big;
   r.overload_sheds = big;
-  r.audit_mismatches = big;
   for (int i = 0; i < 1000; ++i) r.latency.Record(1e9 + i);
   for (int i = 0; i < 1000; ++i) r.delivery_latency.Record(1e9 + i);
   return r;
@@ -234,9 +233,9 @@ TEST(RunReportSummaryTest, SummaryIsTruncationSafe) {
   EXPECT_NE(out.find(" rings{hw=18446744073709551615"), std::string::npos);
   EXPECT_NE(out.find(" faults{xport_err=18446744073709551615"),
             std::string::npos);
-  EXPECT_NE(out.find(" admission{quota=18446744073709551615"),
-            std::string::npos);
-  const std::string tail = " AUDIT_MISMATCHES=18446744073709551615";
+  const std::string tail =
+      " admission{quota=18446744073709551615 rate=18446744073709551615"
+      " trips=18446744073709551615 sheds=18446744073709551615}";
   ASSERT_GE(out.size(), tail.size());
   EXPECT_EQ(out.substr(out.size() - tail.size()), tail);
 }
@@ -251,7 +250,9 @@ TEST(RunReportSummaryTest, FleetSummaryIsTruncationSafe) {
   EXPECT_NE(out.find("shard 2: "), std::string::npos);
   EXPECT_NE(out.find("\nfleet:   "), std::string::npos);
   // The fleet line is last and intact.
-  const std::string tail = " AUDIT_MISMATCHES=18446744073709551615";
+  const std::string tail =
+      " admission{quota=18446744073709551615 rate=18446744073709551615"
+      " trips=18446744073709551615 sheds=18446744073709551615}";
   EXPECT_EQ(out.substr(out.size() - tail.size()), tail);
   // Each of the three shard sections plus the fleet line carries the full
   // admission segment.

@@ -1,15 +1,97 @@
-#include "runtime/queue.h"
-
-#include "common/stopwatch.h"
-
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/stopwatch.h"
+
 namespace ps2 {
 namespace {
+
+// Bounded multi-producer multi-consumer blocking queue: the stage hop of the
+// original threaded runtime, since replaced by SPSC rings
+// (runtime/spsc_ring.h). It no longer ships; it lives on here as the
+// reference for the blocking stream contract the rings keep — backpressure
+// by blocking producers when full, Close() releasing every waiter, and
+// consumers draining remaining items before observing end-of-stream.
+template <typename T>
+class BoundedQueue {
+ public:
+  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {}
+
+  BoundedQueue(const BoundedQueue&) = delete;
+  BoundedQueue& operator=(const BoundedQueue&) = delete;
+
+  // Blocks while full. Returns false if the queue was closed.
+  bool Push(T item) {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_full_.wait(lock,
+                   [this] { return items_.size() < capacity_ || closed_; });
+    if (closed_) return false;
+    items_.push_back(std::move(item));
+    not_empty_.notify_one();
+    return true;
+  }
+
+  // Pops one item, blocking while empty. Returns nullopt when the queue is
+  // closed *and* drained.
+  std::optional<T> Pop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    not_full_.notify_one();
+    return item;
+  }
+
+  // Pops up to `max_items` at once (reduces lock traffic for hot workers).
+  // Empty result means closed-and-drained.
+  std::vector<T> PopBatch(size_t max_items) {
+    std::vector<T> batch;
+    PopBatch(max_items, &batch);
+    return batch;
+  }
+
+  // Allocation-reusing variant: clears `out` (keeping its capacity) and
+  // fills it with up to `max_items`. Consumer loops pass the same vector
+  // every drain so the steady state stops reallocating batch storage.
+  void PopBatch(size_t max_items, std::vector<T>* out) {
+    out->clear();
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
+    while (!items_.empty() && out->size() < max_items) {
+      out->push_back(std::move(items_.front()));
+      items_.pop_front();
+    }
+    if (!out->empty()) not_full_.notify_all();
+  }
+
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    not_empty_.notify_all();
+    not_full_.notify_all();
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return items_.size();
+  }
+
+ private:
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::condition_variable not_full_, not_empty_;
+  std::deque<T> items_;
+  bool closed_ = false;
+};
+
 
 TEST(BoundedQueueTest, FifoOrder) {
   BoundedQueue<int> q(10);

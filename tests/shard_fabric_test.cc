@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <set>
@@ -227,6 +228,35 @@ TEST(ShardFabricTest, KillAndRestoreReassemblesFleet) {
   all.insert(all.end(), second_half.begin(), second_half.end());
   EXPECT_EQ(testutil::Sorted(std::move(all)),
             ReferenceSet(w, w.extra_objects));
+  std::filesystem::remove_all(dir);
+}
+
+// durability.include_snapshot holds in fabric mode as it does for a single
+// engine: every shard's checkpoint embeds its routing snapshot.
+TEST(ShardFabricTest, CheckpointHonorsIncludeSnapshot) {
+  const testutil::TestWorkload w = testutil::MakeWorkload(75, 400, 50);
+  const std::string dir = ::testing::TempDir() + "/ps2_fabric_snapshot_" +
+                          std::to_string(getpid());
+  std::filesystem::remove_all(dir);
+
+  PS2StreamOptions options = FabricOptions(2);
+  options.durability.enabled = true;
+  options.durability.dir = dir;
+  options.durability.include_snapshot = true;
+  {
+    PS2Stream ps2(options);
+    ps2.Bootstrap(w.sample);
+    ASSERT_TRUE(ps2.durable());
+    auto session = ps2.OpenSession();
+    for (const STSQuery& q : w.sample.inserts) SubscribeRaw(ps2, session, q);
+    ASSERT_TRUE(ps2.Checkpoint());
+  }
+  for (ShardId s = 0; s < 2; ++s) {
+    RecoveredState state;
+    ASSERT_TRUE(RecoverState(ShardDirPath(dir, s), &state)) << "shard " << s;
+    EXPECT_TRUE(state.had_snapshot) << "shard " << s;
+    EXPECT_FALSE(state.queries.empty()) << "shard " << s;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace ps2 {
 namespace {
 
@@ -89,6 +94,52 @@ TEST(VocabularyTest, MemoryGrowsWithTerms) {
   const size_t empty = v.MemoryBytes();
   for (int i = 0; i < 100; ++i) v.Intern("term" + std::to_string(i));
   EXPECT_GT(v.MemoryBytes(), empty);
+}
+
+TEST(VocabularyTest, CopyAndMoveKeepTermsAndCounts) {
+  Vocabulary v;
+  for (int i = 0; i < 300; ++i) {
+    v.AddCount(v.Intern("t" + std::to_string(i)), static_cast<uint64_t>(i));
+  }
+  const Vocabulary copy = v;
+  Vocabulary moved = std::move(v);
+  const Vocabulary* copies[] = {&copy, &moved};
+  for (const Vocabulary* c : copies) {
+    ASSERT_EQ(c->size(), 300u);
+    EXPECT_EQ(c->TermString(299), "t299");
+    EXPECT_EQ(c->Count(c->Lookup("t123")), 123u);
+    EXPECT_EQ(c->TotalCount(), copy.TotalCount());
+  }
+}
+
+// A started engine's dispatchers read term counts (Count, LeastFrequent)
+// while the facade thread interns the terms of new subscriptions: growth
+// must never move an entry a reader can reach. TSan runs this in CI.
+TEST(VocabularyConcurrencyTest, InternWhileReadersCount) {
+  Vocabulary v;
+  for (int i = 0; i < 8; ++i) {
+    v.AddCount(v.Intern("seed" + std::to_string(i)), i + 1);
+  }
+  constexpr int kTerms = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::vector<TermId> ids;
+    while (!done.load(std::memory_order_acquire)) {
+      const size_t n = v.size();
+      ids.clear();
+      for (size_t i = 0; i < n; i += 61) ids.push_back(static_cast<TermId>(i));
+      ASSERT_LT(v.LeastFrequent(ids), n);
+      ASSERT_EQ(v.Count(3), 4u);
+      ASSERT_FALSE(v.TermString(static_cast<TermId>(n - 1)).empty());
+    }
+  });
+  for (int i = 0; i < kTerms; ++i) {
+    v.AddCount(v.Intern("t" + std::to_string(i)));
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  ASSERT_EQ(v.size(), static_cast<size_t>(kTerms + 8));
+  EXPECT_EQ(v.Count(v.Lookup("t19999")), 1u);
 }
 
 }  // namespace
