@@ -30,6 +30,14 @@ class ByteWriter {
     Bytes(s.data(), s.size());
   }
 
+  void Reserve(size_t n) { buf_.reserve(n); }
+  // Overwrites the sizeof(T) bytes at `pos`, which an earlier write already
+  // placed (a header placeholder patched once its payload is known).
+  template <typename T>
+  void PodAt(size_t pos, T v) {
+    std::memcpy(&buf_[pos], &v, sizeof(T));
+  }
+
   const std::string& buffer() const { return buf_; }
   std::string TakeBuffer() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
@@ -100,8 +108,11 @@ class ByteReader {
 };
 
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `n` bytes,
-// seedable for incremental use. Frames every WAL record and checkpoint
-// payload so recovery can tell a torn write from good data.
+// seedable for incremental use: Crc32(b, m, Crc32(a, n)) equals one pass
+// over a||b. Frames every WAL record, checkpoint payload and shard wire
+// frame so a reader can tell a torn write from good data. Computed
+// slice-by-8 (eight bytes per step); the values are those of the plain
+// byte-at-a-time table method.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 inline uint32_t Crc32(const std::string& s) { return Crc32(s.data(), s.size()); }

@@ -44,6 +44,17 @@ void WriteQueryRecord(ByteWriter& w, const STSQuery& q,
   }
 }
 
+// Bytes WriteQueryRecord emits for `q` (spec included) when every term
+// takes `term_bytes` (a fixed-width codec) — the exact reserve for an
+// encoder's buffer.
+inline size_t QueryRecordBytes(const STSQuery& q, size_t term_bytes) {
+  size_t n = sizeof(uint64_t) + 4 * sizeof(double) + sizeof(uint32_t);
+  for (const auto& clause : q.expr.clauses()) {
+    n += sizeof(uint32_t) + clause.size() * term_bytes;
+  }
+  return n + sizeof(uint8_t) + sizeof(double) + sizeof(uint32_t);
+}
+
 // Returns false on malformed input (declared counts are sanity-capped
 // against the remaining bytes before any reserve).
 template <typename ReadTermFn>

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +30,8 @@ struct RetryPolicy {
 // Sender half of a reliable link: sequence-numbers frames, envelopes them
 // (wire kControl), retransmits per the RetryPolicy until a cumulative ack
 // covers them, and reports exhaustion when a frame runs out of attempts.
+// A frame is sealed into its envelope once, at Enqueue (re-stamped only by
+// Reset); every (re)send shares that buffer instead of re-encoding it.
 // Epochs fence incarnations: a shard restart bumps the link epoch, and acks
 // or frames stamped with an older epoch are ignored by both halves.
 //
@@ -37,7 +40,9 @@ struct RetryPolicy {
 class ReliableSender {
  public:
   struct Outgoing {
-    std::string envelope;
+    // Shared with the pending entry, so an ack that retires the frame while
+    // the caller is still sending it cannot free the bytes under it.
+    std::shared_ptr<const std::string> envelope;
     bool is_retry = false;
   };
 
@@ -54,15 +59,16 @@ class ReliableSender {
   }
 
   // Queues one sealed frame; due for its first send immediately.
-  void Enqueue(std::string inner) {
+  void Enqueue(const std::string& inner) {
     Pending p;
     p.seq = next_seq_++;
-    p.inner = std::move(inner);
+    p.envelope = std::make_shared<const std::string>(
+        EncodeControlFrame(epoch_, p.seq, inner));
     pending_.push_back(std::move(p));
   }
 
-  // Envelopes every pending frame whose (re)send is due at `now` into `out`
-  // and schedules its next retransmission. A frame that already burned
+  // Appends every pending frame whose (re)send is due at `now` to `out` and
+  // schedules its next retransmission. A frame that already burned
   // max_attempts sends is not resent; it trips exhausted() instead.
   void CollectDue(int64_t now, std::vector<Outgoing>* out) {
     for (Pending& p : pending_) {
@@ -74,10 +80,7 @@ class ReliableSender {
       ++p.attempts;
       if (p.attempts > 1) ++retries_;
       p.next_due_us = now + Backoff(p.attempts);
-      Outgoing o;
-      o.envelope = EncodeControlFrame(epoch_, p.seq, p.inner);
-      o.is_retry = p.attempts > 1;
-      out->push_back(std::move(o));
+      out->push_back(Outgoing{p.envelope, p.attempts > 1});
     }
   }
 
@@ -108,8 +111,8 @@ class ReliableSender {
     epoch_ = epoch;
     next_seq_ = 1;
     exhausted_ = false;
-    for (std::string& inner : prepend) Enqueue(std::move(inner));
-    for (Pending& p : replay) Enqueue(std::move(p.inner));
+    for (const std::string& inner : prepend) Enqueue(inner);
+    for (const Pending& p : replay) Enqueue(ControlFrameInner(*p.envelope));
   }
 
   // Drains the pending frames (in order) for local application — used when
@@ -118,7 +121,9 @@ class ReliableSender {
   std::vector<std::string> TakeInners() {
     std::vector<std::string> out;
     out.reserve(pending_.size());
-    for (Pending& p : pending_) out.push_back(std::move(p.inner));
+    for (const Pending& p : pending_) {
+      out.push_back(ControlFrameInner(*p.envelope));
+    }
     pending_.clear();
     exhausted_ = false;
     return out;
@@ -142,7 +147,7 @@ class ReliableSender {
  private:
   struct Pending {
     uint64_t seq = 0;
-    std::string inner;
+    std::shared_ptr<const std::string> envelope;  // sealed at Enqueue/Reset
     int attempts = 0;
     int64_t next_due_us = 0;  // 0 = due now
   };
@@ -183,12 +188,14 @@ class ReliableReceiver {
     bool duplicate = false;  // seen before: re-ack only
     uint64_t epoch = 0;
     uint64_t ack_upto = 0;  // cumulative: every seq <= this was received
-    std::vector<Frame> apply;  // frames to apply now, in release order
   };
 
   explicit ReliableReceiver(Order order = Order::kOrdered) : order_(order) {}
 
-  Result Accept(Frame&& f) {
+  // Accepts one enveloped frame and appends the frames it releases to
+  // `apply`, in release order — a caller-owned buffer, so a steady link
+  // reuses its capacity instead of allocating per frame.
+  Result Accept(Frame&& f, std::vector<Frame>* apply) {
     Result r;
     if (f.epoch < epoch_) {
       r.stale = true;
@@ -203,11 +210,11 @@ class ReliableReceiver {
       if (seq <= upto_ || ahead_.count(seq) != 0) {
         r.duplicate = true;
       } else if (seq == upto_ + 1) {
-        r.apply.push_back(std::move(f));
+        apply->push_back(std::move(f));
         ++upto_;
         auto it = ahead_.begin();
         while (it != ahead_.end() && it->first == upto_ + 1) {
-          r.apply.push_back(std::move(it->second));
+          apply->push_back(std::move(it->second));
           ++upto_;
           it = ahead_.erase(it);
         }
@@ -218,8 +225,14 @@ class ReliableReceiver {
       if (seq <= upto_ || seen_.count(seq) != 0) {
         r.duplicate = true;
       } else {
-        seen_.insert(seq);
-        r.apply.push_back(std::move(f));
+        apply->push_back(std::move(f));
+        // In-sequence arrivals (the fault-free norm) extend the prefix
+        // directly; only gaps are remembered in seen_.
+        if (seq == upto_ + 1) {
+          ++upto_;
+        } else {
+          seen_.insert(seq);
+        }
         while (!seen_.empty() && *seen_.begin() == upto_ + 1) {
           seen_.erase(seen_.begin());
           ++upto_;

@@ -90,6 +90,35 @@ void SleepUntilDue(int64_t next_due_us) {
   std::this_thread::sleep_for(std::chrono::microseconds(wait));
 }
 
+// Lends a thread's reusable buffer to one scope and takes it back cleared,
+// capacity kept, so the per-frame link bookkeeping stops allocating. A
+// nested lease on the same thread — a fault transport may release a held
+// frame inside any Send, re-entering the receive path — finds the pool
+// empty and works on a fresh vector, so nested users never share one.
+template <typename T>
+class BufferLease {
+ public:
+  explicit BufferLease(std::vector<T>& pool) : pool_(pool) {
+    buf_.swap(pool_);
+  }
+  ~BufferLease() {
+    buf_.clear();
+    pool_.swap(buf_);
+  }
+  BufferLease(const BufferLease&) = delete;
+  BufferLease& operator=(const BufferLease&) = delete;
+
+  std::vector<T>* get() { return &buf_; }
+
+ private:
+  std::vector<T>& pool_;
+  std::vector<T> buf_;
+};
+
+// Per-thread pools: envelopes due on a link, frames a receiver released.
+thread_local std::vector<ReliableSender::Outgoing> due_pool;
+thread_local std::vector<Frame> apply_pool;
+
 }  // namespace
 
 // --- ShardEgress -------------------------------------------------------------
@@ -483,7 +512,7 @@ void ShardedEngine::SendToShard(ShardId shard, const std::string& frame) {
 
 // --- reliable-link plumbing --------------------------------------------------
 
-Status ShardedEngine::SendControl(ShardId s, std::string inner) {
+Status ShardedEngine::SendControl(ShardId s, const std::string& inner) {
   PinControlThread();
   if (supervisor_.quarantined(s)) {
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -493,7 +522,7 @@ Status ShardedEngine::SendControl(ShardId s, std::string inner) {
   Shard& shard = *shards_[static_cast<size_t>(s)];
   {
     std::lock_guard<std::mutex> lock(shard.ctl_mu);
-    shard.ctl_out.Enqueue(std::move(inner));
+    shard.ctl_out.Enqueue(inner);
   }
   return FlushControl(s);
 }
@@ -507,7 +536,7 @@ Status ShardedEngine::FlushControl(ShardId s) {
                                  " is quarantined");
     }
     PumpDeferred();
-    std::vector<ReliableSender::Outgoing> due;
+    BufferLease<ReliableSender::Outgoing> due(due_pool);
     bool exhausted = false;
     int64_t next_due = INT64_MAX;
     {
@@ -517,7 +546,7 @@ Status ShardedEngine::FlushControl(ShardId s) {
         supervisor_.OnProgress(s);
         return Status::Ok();
       }
-      shard.ctl_out.CollectDue(MonoUs(), &due);
+      shard.ctl_out.CollectDue(MonoUs(), due.get());
       exhausted = shard.ctl_out.exhausted();
       next_due = shard.ctl_out.next_due_us();
     }
@@ -529,8 +558,8 @@ Status ShardedEngine::FlushControl(ShardId s) {
       if (!st.ok()) return st;
       continue;
     }
-    SendDue(kFrontEndpoint, s, due);
-    if (due.empty()) SleepUntilDue(next_due);
+    SendDue(kFrontEndpoint, s, *due.get());
+    if (due.get()->empty()) SleepUntilDue(next_due);
   }
 }
 
@@ -544,13 +573,13 @@ Status ShardedEngine::FlushEgress(ShardId s) {
       LocalDrainEgress(shard);
       return Status::Ok();
     }
-    std::vector<ReliableSender::Outgoing> due;
+    BufferLease<ReliableSender::Outgoing> due(due_pool);
     bool exhausted = false;
     int64_t next_due = INT64_MAX;
     {
       std::lock_guard<std::mutex> lock(shard.egress_mu);
       if (shard.match_out.unacked() == 0) return Status::Ok();
-      shard.match_out.CollectDue(MonoUs(), &due);
+      shard.match_out.CollectDue(MonoUs(), due.get());
       exhausted = shard.match_out.exhausted();
       next_due = shard.match_out.next_due_us();
     }
@@ -560,48 +589,52 @@ Status ShardedEngine::FlushEgress(ShardId s) {
       LocalDrainEgress(shard);
       return Status::Ok();
     }
-    SendDue(shard.id, kFrontEndpoint, due);
-    if (due.empty()) SleepUntilDue(next_due);
+    SendDue(shard.id, kFrontEndpoint, *due.get());
+    if (due.get()->empty()) SleepUntilDue(next_due);
   }
 }
 
-void ShardedEngine::EnqueueEgress(Shard& shard, std::string inner) {
-  std::vector<ReliableSender::Outgoing> due;
+void ShardedEngine::EnqueueEgress(Shard& shard, const std::string& inner) {
+  BufferLease<ReliableSender::Outgoing> due(due_pool);
   {
     std::lock_guard<std::mutex> lock(shard.egress_mu);
-    shard.match_out.Enqueue(std::move(inner));
+    shard.match_out.Enqueue(inner);
     // A dead shard can't transmit; the frame pends for salvage/replay.
     if (!shard.dead.load(std::memory_order_acquire)) {
-      shard.match_out.CollectDue(MonoUs(), &due);
+      shard.match_out.CollectDue(MonoUs(), due.get());
     }
   }
-  SendDue(shard.id, kFrontEndpoint, due);
+  SendDue(shard.id, kFrontEndpoint, *due.get());
 }
 
 void ShardedEngine::SendDue(ShardId from, ShardId to,
                             const std::vector<ReliableSender::Outgoing>& due) {
   for (const ReliableSender::Outgoing& o : due) {
     if (o.is_retry) frame_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (!transport_->Send(from, to, o.envelope)) {
+    if (!transport_->Send(from, to, *o.envelope)) {
       transport_errors_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
 
-void ShardedEngine::ShipMatches(ShardId s, std::string frame) {
-  EnqueueEgress(*shards_[static_cast<size_t>(s)], std::move(frame));
+void ShardedEngine::ShipMatches(ShardId s, const std::string& frame) {
+  EnqueueEgress(*shards_[static_cast<size_t>(s)], frame);
 }
 
 void ShardedEngine::PumpDeferred() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    while (true) {
+    // Fast path: nothing parked (the fault-free steady state) costs one
+    // load, not a lock. A frame parked just after the load waits for the
+    // next pump, exactly as if it had arrived after the locked check.
+    while (shard.parked.load(std::memory_order_acquire) != 0) {
       std::string frame;
       {
         std::lock_guard<std::mutex> lock(shard.deferred_mu);
         if (shard.deferred.empty()) break;
         frame = std::move(shard.deferred.front());
         shard.deferred.pop_front();
+        shard.parked.store(shard.deferred.size(), std::memory_order_release);
       }
       if (shard.dead.load(std::memory_order_acquire)) continue;
       Frame f;
@@ -663,13 +696,15 @@ bool ShardedEngine::RestartShard(Shard& shard) {
   {
     std::lock_guard<std::mutex> lock(shard.deferred_mu);
     shard.deferred.clear();
+    shard.parked.store(0, std::memory_order_release);
   }
   shard.egress = std::make_unique<ShardEgress>(this, shard.id);
 
   // 4. Rebuild the index: from the shard's own durable directory when the
   //    fabric is durable, from the bootstrap geometry otherwise (queries
   //    are restored by the registry resync below either way). A shard
-  //    whose WAL cannot resume keeps serving, non-durable.
+  //    whose WAL cannot be recovered or resumed keeps serving with no
+  //    manager; durability_status() then refuses mutations (kDataLoss).
   const uint64_t bit = ShardBit(shard.id);
   shard.applied.clear();
   bool recovered = false;
@@ -746,6 +781,7 @@ void ShardedEngine::QuarantineShard(ShardId s) {
   {
     std::lock_guard<std::mutex> lock(shard.deferred_mu);
     shard.deferred.clear();
+    shard.parked.store(0, std::memory_order_release);
   }
 }
 
@@ -796,7 +832,20 @@ Status ShardedEngine::ReviveShard(ShardId s) {
 Status ShardedEngine::durability_status() const {
   for (const auto& shard : shards_) {
     const DurabilityManager* dm = shard->node.durability();
-    if (dm != nullptr && !dm->healthy()) {
+    if (dm == nullptr) {
+      // A live shard of a durable fabric without a manager — one that could
+      // not open, recover or resume its WAL — journals nothing; refuse
+      // mutations as for a sticky WAL error rather than lose them silently.
+      // A dead shard (killed, awaiting the restart its next frame triggers,
+      // or quarantined) is not serving, so it does not count.
+      if (durable_root_ && !shard->dead.load(std::memory_order_acquire)) {
+        return Status::DataLoss("shard " + std::to_string(shard->id) +
+                                " has no WAL: it could not open or recover "
+                                "its durable directory");
+      }
+      continue;
+    }
+    if (!dm->healthy()) {
       return Status::DataLoss("shard " + std::to_string(shard->id) +
                               " WAL hit a sticky I/O error");
     }
@@ -850,18 +899,21 @@ void ShardedEngine::ShardReceive(Shard& shard, ShardId from,
       control_thread_.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lock(shard.deferred_mu);
     shard.deferred.push_back(frame);
+    shard.parked.store(shard.deferred.size(), std::memory_order_release);
     return;
   }
   AcceptControl(shard, std::move(f));
 }
 
 void ShardedEngine::AcceptControl(Shard& shard, Frame&& f) {
-  ReliableReceiver::Result r = shard.ctl_in.Accept(std::move(f));
+  BufferLease<Frame> apply(apply_pool);
+  const ReliableReceiver::Result r =
+      shard.ctl_in.Accept(std::move(f), apply.get());
   if (r.stale) return;
   if (r.duplicate) {
     frame_redeliveries_.fetch_add(1, std::memory_order_relaxed);
   }
-  for (Frame& released : r.apply) ApplyControl(shard, released);
+  for (Frame& released : *apply.get()) ApplyControl(shard, released);
   // Apply-before-ack, cumulative; duplicates are re-acked so the front
   // stops retrying a frame whose first ack got lost.
   if (!transport_->Send(shard.id, kFrontEndpoint,
@@ -948,21 +1000,18 @@ void ShardedEngine::FrontReceive(ShardId from, const std::string& frame) {
   // Concurrent path: worker threads of every shard land here. Sequence
   // dedup kills retransmitted copies; the DeliveryRouter's window kills
   // semantic duplicates (migration overlap, salvage replays).
-  uint64_t ack_epoch = 0, ack_upto = 0;
-  std::vector<Frame> apply;
+  BufferLease<Frame> apply(apply_pool);
+  ReliableReceiver::Result r;
   {
     std::lock_guard<std::mutex> lock(shard.ingress_mu);
-    ReliableReceiver::Result r = shard.match_in.Accept(std::move(f));
-    if (r.stale) return;
-    if (r.duplicate) {
-      frame_redeliveries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ack_epoch = r.epoch;
-    ack_upto = r.ack_upto;
-    apply = std::move(r.apply);
+    r = shard.match_in.Accept(std::move(f), apply.get());
   }
-  for (Frame& released : apply) ApplyFromShard(released);
-  SendToShard(from, EncodeAckFrame(ack_epoch, ack_upto));
+  if (r.stale) return;
+  if (r.duplicate) {
+    frame_redeliveries_.fetch_add(1, std::memory_order_relaxed);
+  }
+  for (Frame& released : *apply.get()) ApplyFromShard(released);
+  SendToShard(from, EncodeAckFrame(r.epoch, r.ack_upto));
 }
 
 void ShardedEngine::ApplyFromShard(Frame& f) {

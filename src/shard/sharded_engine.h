@@ -255,8 +255,10 @@ class ShardedEngine {
   // Degraded mode: at least one shard is quarantined (traffic touching its
   // cells bounces with kUnavailable; the rest of the fleet serves).
   bool degraded() const { return supervisor_.any_quarantined(); }
-  // Non-Ok when a live shard's WAL hit its sticky I/O error (kDataLoss) —
-  // the facade refuses further mutations rather than silently losing them.
+  // kDataLoss when a live shard's WAL hit its sticky I/O error, or when a
+  // live shard of a durable fabric runs without a WAL (it could not open,
+  // recover or resume one) — the facade refuses further mutations
+  // rather than silently losing them.
   Status durability_status() const;
   FabricFaultStats fault_stats() const;
   uint64_t shard_restart_count(ShardId s) const {
@@ -358,6 +360,10 @@ class ShardedEngine {
     // delayed hold-back), parked for the facade thread's next pump.
     std::mutex deferred_mu;
     std::deque<std::string> deferred;
+    // deferred.size(), readable without the lock: lets the facade thread's
+    // pump skip the lock when nothing is parked. Stored under deferred_mu
+    // at every push, pop and clear.
+    std::atomic<size_t> parked{0};
     // Queries this shard has applied (facade thread only): the idempotency
     // filter for redelivered inserts/deletes and the restart reconcile
     // source.
@@ -387,19 +393,19 @@ class ShardedEngine {
   // Queues one control frame on the shard's link and pumps until acked
   // (restarting/quarantining on failure). The fabric's only way to talk to
   // a shard.
-  Status SendControl(ShardId s, std::string inner);
+  Status SendControl(ShardId s, const std::string& inner);
   // Pumps shard `s`'s control link until every queued frame is acked.
   Status FlushControl(ShardId s);
   // Pumps shard `s`'s match link until every produced match/drain-ack
   // reached the front (sync-mode Post's delivery barrier).
   Status FlushEgress(ShardId s);
   // Hands `inner` to the shard's match link and ships whatever is due.
-  void EnqueueEgress(Shard& shard, std::string inner);
+  void EnqueueEgress(Shard& shard, const std::string& inner);
   // Transmits due envelopes `from` -> `to`, counting retries and failures.
   void SendDue(ShardId from, ShardId to,
                const std::vector<ReliableSender::Outgoing>& due);
   // ShardEgress entry: ships one match-batch frame from shard `s`.
-  void ShipMatches(ShardId s, std::string frame);
+  void ShipMatches(ShardId s, const std::string& frame);
   // Applies frames deferred from foreign threads (facade thread only).
   void PumpDeferred();
   // Applies a dead shard's unacked egress directly to the front sink (the

@@ -1,10 +1,14 @@
 #ifndef PS2_SHARD_TRANSPORT_H_
 #define PS2_SHARD_TRANSPORT_H_
 
+#include <array>
+#include <atomic>
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "shard/shard_map.h"
 
@@ -44,32 +48,46 @@ class Transport {
 // threads concurrently; the front's handler must therefore be thread-safe
 // (the DeliveryRouter it feeds already is).
 //
-// The handler registry is mutated only during fabric setup/teardown; Send
-// takes a shared snapshot of the handler under the mutex but invokes it
-// outside, so handlers may themselves Send (e.g. a drain marker's ack)
-// without deadlocking.
+// Endpoints live in a fixed table indexed by `endpoint + 1` (the front, then
+// ShardIds 0..63 — the fabric's shard cap); anything outside it is unknown.
+// RegisterEndpoint publishes a handler with a release store, and Send reads
+// its slot with an acquire load and calls the handler in place: no lock, no
+// handler copy, so handlers may themselves Send (a drain marker's ack) and
+// the front's concurrent match senders never contend. Handlers are never
+// freed while the transport lives — a replaced one stays valid for a Send
+// already running it — and the Transport contract keeps registration to
+// setup anyway.
 class LoopbackTransport final : public Transport {
  public:
   void RegisterEndpoint(ShardId endpoint, Handler handler) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    handlers_[endpoint] = std::move(handler);
+    const uint32_t slot = Slot(endpoint);
+    if (slot >= kMaxEndpoints) return;
+    std::lock_guard<std::mutex> lock(register_mu_);
+    handlers_.push_back(std::make_unique<const Handler>(std::move(handler)));
+    table_[slot].store(handlers_.back().get(), std::memory_order_release);
   }
 
   bool Send(ShardId from, ShardId to, const std::string& frame) override {
-    Handler h;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = handlers_.find(to);
-      if (it == handlers_.end()) return false;
-      h = it->second;
-    }
-    h(from, frame);
+    const uint32_t slot = Slot(to);
+    if (slot >= kMaxEndpoints) return false;
+    const Handler* h = table_[slot].load(std::memory_order_acquire);
+    if (h == nullptr) return false;
+    (*h)(from, frame);
     return true;
   }
 
  private:
-  std::mutex mu_;
-  std::map<ShardId, Handler> handlers_;
+  static constexpr uint32_t kMaxEndpoints = 65;
+
+  // Unsigned arithmetic: every negative or huge id lands outside the table
+  // without signed overflow (kFrontEndpoint -> 0, -2 -> 2^32 - 1).
+  static uint32_t Slot(ShardId endpoint) {
+    return static_cast<uint32_t>(endpoint) + 1u;
+  }
+
+  std::array<std::atomic<const Handler*>, kMaxEndpoints> table_{};
+  std::mutex register_mu_;  // guards handlers_ (registration only)
+  std::vector<std::unique_ptr<const Handler>> handlers_;
 };
 
 }  // namespace ps2

@@ -10,6 +10,11 @@ namespace ps2 {
 namespace {
 
 constexpr size_t kHeaderBytes = 1 + 2 * sizeof(uint32_t);
+// kControl payload ahead of the inner frame: u64 epoch, u64 seq, u32 len.
+constexpr size_t kControlPrefixBytes = 2 * sizeof(uint64_t) + sizeof(uint32_t);
+// One WireMatch on the wire: ids, publish stamp, score, expiry.
+constexpr size_t kWireMatchBytes = 2 * sizeof(uint64_t) + 2 * sizeof(int64_t) +
+                                   sizeof(double);
 
 // The CRC seeds with the kind byte so every header-or-payload single-byte
 // corruption is caught (the length field is cross-checked against the
@@ -19,15 +24,36 @@ uint32_t FrameCrc(uint8_t kind, const char* payload, size_t n) {
   return Crc32(payload, n, seed);
 }
 
-std::string Seal(FrameKind kind, std::string payload) {
+// Starts a frame with room for a `payload_bytes` payload behind a header
+// placeholder that Seal patches in place, so a frame is built in one buffer.
+ByteWriter BeginFrame(size_t payload_bytes) {
   ByteWriter w;
-  w.Pod<uint8_t>(static_cast<uint8_t>(kind));
-  w.Pod<uint32_t>(static_cast<uint32_t>(payload.size()));
-  w.Pod<uint32_t>(
-      FrameCrc(static_cast<uint8_t>(kind), payload.data(), payload.size()));
-  std::string out = w.TakeBuffer();
-  out += payload;
-  return out;
+  w.Reserve(kHeaderBytes + payload_bytes);
+  w.Pod<uint8_t>(0);
+  w.Pod<uint32_t>(0);
+  w.Pod<uint32_t>(0);
+  return w;
+}
+
+std::string Seal(FrameKind kind, ByteWriter& w) {
+  const uint8_t k = static_cast<uint8_t>(kind);
+  const size_t payload_len = w.size() - kHeaderBytes;
+  w.PodAt<uint8_t>(0, k);
+  w.PodAt<uint32_t>(1, static_cast<uint32_t>(payload_len));
+  w.PodAt<uint32_t>(
+      5, FrameCrc(k, w.buffer().data() + kHeaderBytes, payload_len));
+  return w.TakeBuffer();
+}
+
+void WriteWireQuery(ByteWriter& w, const STSQuery& q) {
+  WriteQueryRecord(w, q,
+                   [](ByteWriter& bw, TermId t) { bw.Pod<uint32_t>(t); });
+}
+
+bool ReadWireQuery(ByteReader& r, STSQuery* q) {
+  return ReadQueryRecord(r, q, [](ByteReader& br) {
+    return static_cast<TermId>(br.Pod<uint32_t>());
+  });
 }
 
 bool DecodeObjectPayload(ByteReader& r, Frame* out) {
@@ -60,10 +86,7 @@ bool DecodeObjectPayload(ByteReader& r, Frame* out) {
 
 bool DecodeMatchBatchPayload(ByteReader& r, Frame* out) {
   const uint32_t n = r.Pod<uint32_t>();
-  if (!r.FitsCount(n, 2 * sizeof(uint64_t) + 2 * sizeof(int64_t) +
-                          sizeof(double))) {
-    return false;
-  }
+  if (!r.FitsCount(n, kWireMatchBytes)) return false;
   out->matches.reserve(n);
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     WireMatch m;
@@ -81,7 +104,9 @@ bool DecodeMatchBatchPayload(ByteReader& r, Frame* out) {
 
 std::string EncodeObjectFrame(const SpatioTextualObject& o,
                               int64_t publish_us) {
-  ByteWriter w;
+  ByteWriter w = BeginFrame(sizeof(uint64_t) + 2 * sizeof(double) +
+                            3 * sizeof(int64_t) + sizeof(uint32_t) +
+                            o.terms.size() * sizeof(uint32_t));
   w.Pod<uint64_t>(o.id);
   w.Pod<double>(o.loc.x);
   w.Pod<double>(o.loc.y);
@@ -90,18 +115,17 @@ std::string EncodeObjectFrame(const SpatioTextualObject& o,
   w.Pod<int64_t>(publish_us);
   w.Pod<uint32_t>(static_cast<uint32_t>(o.terms.size()));
   for (const TermId t : o.terms) w.Pod<uint32_t>(t);
-  return Seal(FrameKind::kObject, w.TakeBuffer());
+  return Seal(FrameKind::kObject, w);
 }
 
 std::string EncodeQueryFrame(FrameKind kind, const STSQuery& q) {
-  ByteWriter w;
-  WriteQueryRecord(w, q,
-                   [](ByteWriter& bw, TermId t) { bw.Pod<uint32_t>(t); });
-  return Seal(kind, w.TakeBuffer());
+  ByteWriter w = BeginFrame(QueryRecordBytes(q, sizeof(uint32_t)));
+  WriteWireQuery(w, q);
+  return Seal(kind, w);
 }
 
 std::string EncodeMatchBatchFrame(const WireMatch* matches, size_t n) {
-  ByteWriter w;
+  ByteWriter w = BeginFrame(sizeof(uint32_t) + n * kWireMatchBytes);
   w.Pod<uint32_t>(static_cast<uint32_t>(n));
   for (size_t i = 0; i < n; ++i) {
     w.Pod<uint64_t>(matches[i].query_id);
@@ -110,59 +134,67 @@ std::string EncodeMatchBatchFrame(const WireMatch* matches, size_t n) {
     w.Pod<double>(matches[i].score);
     w.Pod<int64_t>(matches[i].expire_us);
   }
-  return Seal(FrameKind::kMatchBatch, w.TakeBuffer());
+  return Seal(FrameKind::kMatchBatch, w);
 }
 
 std::string EncodeQueryUpdateFrame(const STSQuery& q, const Rect& old_region) {
-  ByteWriter w;
-  WriteQueryRecord(w, q,
-                   [](ByteWriter& bw, TermId t) { bw.Pod<uint32_t>(t); });
+  ByteWriter w = BeginFrame(QueryRecordBytes(q, sizeof(uint32_t)) +
+                            4 * sizeof(double));
+  WriteWireQuery(w, q);
   w.Pod<double>(old_region.min_x);
   w.Pod<double>(old_region.min_y);
   w.Pod<double>(old_region.max_x);
   w.Pod<double>(old_region.max_y);
-  return Seal(FrameKind::kQueryUpdate, w.TakeBuffer());
+  return Seal(FrameKind::kQueryUpdate, w);
 }
 
 std::string EncodeDrainFrame(FrameKind kind, uint64_t token) {
-  ByteWriter w;
+  ByteWriter w = BeginFrame(sizeof(uint64_t));
   w.Pod<uint64_t>(token);
-  return Seal(kind, w.TakeBuffer());
+  return Seal(kind, w);
 }
 
 std::string EncodeControlFrame(uint64_t epoch, uint64_t seq,
                                const std::string& inner) {
-  ByteWriter w;
+  ByteWriter w = BeginFrame(kControlPrefixBytes + inner.size());
   w.Pod<uint64_t>(epoch);
   w.Pod<uint64_t>(seq);
   w.Pod<uint32_t>(static_cast<uint32_t>(inner.size()));
-  std::string payload = w.TakeBuffer();
-  payload += inner;
-  return Seal(FrameKind::kControl, std::move(payload));
+  w.Bytes(inner.data(), inner.size());
+  return Seal(FrameKind::kControl, w);
+}
+
+std::string ControlFrameInner(const std::string& envelope) {
+  return envelope.substr(kHeaderBytes + kControlPrefixBytes);
 }
 
 std::string EncodeAckFrame(uint64_t epoch, uint64_t ack_upto) {
-  ByteWriter w;
+  ByteWriter w = BeginFrame(2 * sizeof(uint64_t));
   w.Pod<uint64_t>(epoch);
   w.Pod<uint64_t>(ack_upto);
-  return Seal(FrameKind::kAck, w.TakeBuffer());
+  return Seal(FrameKind::kAck, w);
 }
 
 std::string EncodePingFrame() {
-  return Seal(FrameKind::kPing, std::string());
+  ByteWriter w = BeginFrame(0);
+  return Seal(FrameKind::kPing, w);
 }
 
-bool DecodeFrame(const std::string& frame, Frame* out) {
-  if (frame.size() < kHeaderBytes) return false;
-  ByteReader h(frame.data(), kHeaderBytes);
+namespace {
+
+// Decodes the frame at [data, data + size) into a default-constructed
+// `out`. A kControl envelope's inner frame is decoded from its place inside
+// the envelope, never copied out.
+bool DecodeFrameView(const char* data, size_t size, Frame* out) {
+  if (size < kHeaderBytes) return false;
+  ByteReader h(data, kHeaderBytes);
   const uint8_t kind = h.Pod<uint8_t>();
   const uint32_t payload_len = h.Pod<uint32_t>();
   const uint32_t crc = h.Pod<uint32_t>();
-  if (frame.size() != kHeaderBytes + payload_len) return false;
-  const char* payload = frame.data() + kHeaderBytes;
+  if (size != kHeaderBytes + payload_len) return false;
+  const char* payload = data + kHeaderBytes;
   if (FrameCrc(kind, payload, payload_len) != crc) return false;
 
-  *out = Frame();
   ByteReader r(payload, payload_len);
   switch (static_cast<FrameKind>(kind)) {
     case FrameKind::kObject:
@@ -171,18 +203,10 @@ bool DecodeFrame(const std::string& frame, Frame* out) {
     case FrameKind::kQueryInsert:
     case FrameKind::kQueryDelete:
       out->kind = static_cast<FrameKind>(kind);
-      return ReadQueryRecord(r, &out->query,
-                             [](ByteReader& br) {
-                               return static_cast<TermId>(br.Pod<uint32_t>());
-                             }) &&
-             r.remaining() == 0;
+      return ReadWireQuery(r, &out->query) && r.remaining() == 0;
     case FrameKind::kQueryUpdate: {
       out->kind = FrameKind::kQueryUpdate;
-      if (!ReadQueryRecord(r, &out->query, [](ByteReader& br) {
-            return static_cast<TermId>(br.Pod<uint32_t>());
-          })) {
-        return false;
-      }
+      if (!ReadWireQuery(r, &out->query)) return false;
       const double mnx = r.Pod<double>();
       const double mny = r.Pod<double>();
       const double mxx = r.Pod<double>();
@@ -204,15 +228,17 @@ bool DecodeFrame(const std::string& frame, Frame* out) {
       const uint32_t inner_len = r.Pod<uint32_t>();
       if (!r.ok() || epoch == 0 || seq == 0) return false;
       if (r.remaining() != inner_len) return false;
-      const std::string inner(payload + (payload_len - r.remaining()),
-                              inner_len);
-      if (!DecodeFrame(inner, out)) return false;
+      const char* inner = payload + r.pos();
       // Envelopes never nest, and an ack is a link-level reply, not a
-      // payload — rejecting both keeps the recursion depth at one.
-      if (out->kind == FrameKind::kControl || out->kind == FrameKind::kAck ||
-          out->enveloped) {
+      // payload. Both are refused by the inner kind byte before decoding,
+      // so the recursion depth stays at one however deep a forged frame
+      // nests.
+      const auto inner_kind = static_cast<FrameKind>(
+          inner_len > 0 ? static_cast<uint8_t>(inner[0]) : 0);
+      if (inner_kind == FrameKind::kControl || inner_kind == FrameKind::kAck) {
         return false;
       }
+      if (!DecodeFrameView(inner, inner_len, out)) return false;
       out->enveloped = true;
       out->epoch = epoch;
       out->seq = seq;
@@ -228,6 +254,13 @@ bool DecodeFrame(const std::string& frame, Frame* out) {
       return r.remaining() == 0;
   }
   return false;
+}
+
+}  // namespace
+
+bool DecodeFrame(const std::string& frame, Frame* out) {
+  *out = Frame();
+  return DecodeFrameView(frame.data(), frame.size(), out);
 }
 
 }  // namespace ps2

@@ -25,6 +25,13 @@ namespace ps2 {
 // frame layout). Decoding validates length and CRC before touching the
 // payload, so a corrupt or truncated frame fails cleanly instead of
 // poisoning a shard.
+//
+// Every encoder builds its frame in one buffer: it reserves the header,
+// writes the payload behind it and patches kind, length and CRC in place.
+// A kControl envelope appends its inner frame once, and DecodeFrame decodes
+// that inner frame where it sits inside the envelope (a pointer and length
+// into the same buffer, with its own length and CRC checks) instead of
+// copying it out first.
 enum class FrameKind : uint8_t {
   kObject = 1,
   kQueryInsert = 2,
@@ -93,6 +100,9 @@ std::string EncodeDrainFrame(FrameKind kind, uint64_t token);
 // not itself be a kControl or kAck frame (DecodeFrame rejects nesting).
 std::string EncodeControlFrame(uint64_t epoch, uint64_t seq,
                                const std::string& inner);
+// The inner frame of an envelope EncodeControlFrame built (unvalidated: for
+// a sender re-stamping or salvaging its own envelopes).
+std::string ControlFrameInner(const std::string& envelope);
 std::string EncodeAckFrame(uint64_t epoch, uint64_t ack_upto);
 std::string EncodePingFrame();
 

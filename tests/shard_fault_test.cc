@@ -187,7 +187,7 @@ TEST(ReliableSenderTest, FirstSendIsFreeRetriesDoubleUntilTheCap) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].is_retry);
   Frame f;
-  ASSERT_TRUE(DecodeFrame(out[0].envelope, &f));
+  ASSERT_TRUE(DecodeFrame(*out[0].envelope, &f));
   EXPECT_TRUE(f.enveloped);
   EXPECT_EQ(f.kind, FrameKind::kPing);
   EXPECT_EQ(f.epoch, 1u);
@@ -227,7 +227,7 @@ TEST(ReliableSenderTest, CumulativeAckDropsThePrefixAndRefreshesTheBudget) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_FALSE(out[0].is_retry);
   Frame f;
-  ASSERT_TRUE(DecodeFrame(out[0].envelope, &f));
+  ASSERT_TRUE(DecodeFrame(*out[0].envelope, &f));
   EXPECT_EQ(f.seq, 3u);
   EXPECT_EQ(f.drain_token, 3u);
 }
@@ -270,7 +270,7 @@ TEST(ReliableSenderTest, ResetReplaysPendingBehindThePrologue) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_FALSE(out[i].is_retry);
     Frame f;
-    ASSERT_TRUE(DecodeFrame(out[i].envelope, &f));
+    ASSERT_TRUE(DecodeFrame(*out[i].envelope, &f));
     EXPECT_EQ(f.epoch, 2u);
     EXPECT_EQ(f.seq, i + 1) << "sequences restart from 1";
     EXPECT_EQ(f.drain_token, want_tokens[i])
@@ -303,21 +303,33 @@ Frame Ctl(uint64_t epoch, uint64_t seq) {
   return f;
 }
 
+// One Accept call's verdict together with the frames it released.
+struct Released : ReliableReceiver::Result {
+  std::vector<Frame> apply;
+};
+
+Released AcceptOne(ReliableReceiver& r, Frame&& f) {
+  Released out;
+  static_cast<ReliableReceiver::Result&>(out) =
+      r.Accept(std::move(f), &out.apply);
+  return out;
+}
+
 TEST(ReliableReceiverTest, OrderedReleaseBuffersAheadOfSequence) {
   ReliableReceiver r(ReliableReceiver::Order::kOrdered);
-  auto r2 = r.Accept(Ctl(1, 2));
+  auto r2 = AcceptOne(r, Ctl(1, 2));
   EXPECT_FALSE(r2.stale);
   EXPECT_FALSE(r2.duplicate);
   EXPECT_TRUE(r2.apply.empty()) << "seq 2 must wait for seq 1";
   EXPECT_EQ(r2.ack_upto, 0u);
 
-  auto r1 = r.Accept(Ctl(1, 1));
+  auto r1 = AcceptOne(r, Ctl(1, 1));
   ASSERT_EQ(r1.apply.size(), 2u) << "seq 1 releases the buffered seq 2";
   EXPECT_EQ(r1.apply[0].seq, 1u);
   EXPECT_EQ(r1.apply[1].seq, 2u);
   EXPECT_EQ(r1.ack_upto, 2u);
 
-  auto dup = r.Accept(Ctl(1, 2));
+  auto dup = AcceptOne(r, Ctl(1, 2));
   EXPECT_TRUE(dup.duplicate);
   EXPECT_TRUE(dup.apply.empty());
   EXPECT_EQ(dup.ack_upto, 2u) << "duplicates are re-acked, not re-applied";
@@ -325,31 +337,31 @@ TEST(ReliableReceiverTest, OrderedReleaseBuffersAheadOfSequence) {
 
 TEST(ReliableReceiverTest, UnorderedReleaseAppliesImmediatelyAndDedups) {
   ReliableReceiver r(ReliableReceiver::Order::kUnordered);
-  auto r3 = r.Accept(Ctl(1, 3));
+  auto r3 = AcceptOne(r, Ctl(1, 3));
   ASSERT_EQ(r3.apply.size(), 1u) << "match links never hold frames back";
   EXPECT_EQ(r3.ack_upto, 0u) << "cumulative ack still tracks the prefix";
 
-  EXPECT_TRUE(r.Accept(Ctl(1, 3)).duplicate);
+  EXPECT_TRUE(AcceptOne(r, Ctl(1, 3)).duplicate);
 
-  auto r1 = r.Accept(Ctl(1, 1));
+  auto r1 = AcceptOne(r, Ctl(1, 1));
   ASSERT_EQ(r1.apply.size(), 1u);
   EXPECT_EQ(r1.ack_upto, 1u);
-  auto r2 = r.Accept(Ctl(1, 2));
+  auto r2 = AcceptOne(r, Ctl(1, 2));
   ASSERT_EQ(r2.apply.size(), 1u);
   EXPECT_EQ(r2.ack_upto, 3u) << "the prefix absorbs the out-of-order seq 3";
 }
 
 TEST(ReliableReceiverTest, EpochFencingDropsStaleAndAdoptsNewer) {
   ReliableReceiver r(ReliableReceiver::Order::kOrdered);
-  ASSERT_EQ(r.Accept(Ctl(2, 1)).apply.size(), 1u);
+  ASSERT_EQ(AcceptOne(r, Ctl(2, 1)).apply.size(), 1u);
   EXPECT_EQ(r.epoch(), 2u);
 
-  auto stale = r.Accept(Ctl(1, 5));
+  auto stale = AcceptOne(r, Ctl(1, 5));
   EXPECT_TRUE(stale.stale) << "a dead incarnation's frame must not apply";
   EXPECT_TRUE(stale.apply.empty());
 
   // A newer epoch is the sender's restart: adopt it with a clean slate.
-  auto fresh = r.Accept(Ctl(3, 1));
+  auto fresh = AcceptOne(r, Ctl(3, 1));
   EXPECT_FALSE(fresh.stale);
   ASSERT_EQ(fresh.apply.size(), 1u);
   EXPECT_EQ(fresh.ack_upto, 1u);
@@ -596,6 +608,43 @@ TEST(ShardFaultTest, StickyWalErrorSurfacesAsDataLossThroughTheFabric) {
   ASSERT_FALSE(sub.ok());
   EXPECT_EQ(sub.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(ps2.Health().code(), StatusCode::kDataLoss);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardFaultTest, RestartWithoutWalRefusesMutations) {
+  const testutil::TestWorkload w = testutil::MakeWorkload(97, 200, 60);
+  const std::string dir =
+      ::testing::TempDir() + "/ps2_restart_nowal_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  PS2StreamOptions options = FabricOptions(2);
+  options.durability.enabled = true;
+  options.durability.dir = dir;
+  PS2Stream ps2(options);
+  ps2.Bootstrap(w.sample);
+  ASSERT_TRUE(ps2.durable());
+  SessionOptions so;
+  auto session = ps2.OpenSession(so);
+
+  // Shard 1 dies and its durable directory goes with it, so the restart
+  // the next frame triggers cannot recover a WAL.
+  ps2.fabric()->KillShard(1);
+  std::filesystem::remove_all(ShardDirPath(dir, 1));
+  size_t next = 0;
+  while (ps2.fabric()->shard_restart_count(1) == 0) {
+    ASSERT_LT(next, w.sample.inserts.size()) << "no frame reached shard 1";
+    auto sub = ps2.Subscribe(session, w.sample.inserts[next++]);
+    ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+    sub->Release();
+  }
+  ASSERT_EQ(ps2.fabric()->shard_durability(1), nullptr);
+  EXPECT_FALSE(ps2.durable());
+
+  // The shard serves again but journals nothing: mutations are refused.
+  auto sub = ps2.Subscribe(session, w.sample.inserts[next]);
+  ASSERT_FALSE(sub.ok());
+  EXPECT_EQ(sub.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ps2.Post(w.extra_objects[0]).code(), StatusCode::kDataLoss);
   std::filesystem::remove_all(dir);
 }
 

@@ -260,6 +260,63 @@ TEST(ShardWireTest, UnknownKindIsRejected) {
   EXPECT_FALSE(DecodeFrame(forged, &f));
 }
 
+// Byte-for-byte pins of every frame kind, captured from the encoders before
+// they were rebuilt around one-buffer sealing: an encoder or CRC change that
+// alters a single wire byte fails here, not in a cross-version deployment.
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xF];
+  }
+  return out;
+}
+
+TEST(ShardWireTest, EncodedBytesAreUnchanged) {
+  SpatioTextualObject o =
+      SpatioTextualObject::FromTerms(42, Point{12.5, -7.25}, {9, 3, 17});
+  o.timestamp_us = 123456789;
+  o.ttl_us = 5000;
+  STSQuery q = MakeQuery(77);
+  q.cls = SubscriptionClass::kSimilarity;
+  q.tau = 0.5;
+  q.k = 3;
+  std::vector<WireMatch> m(2);
+  m[0] = WireMatch{1, 2, 3, 0.25, 4};
+  m[1] = WireMatch{5, 6, 7, 0.0, 0};
+
+  EXPECT_EQ(Hex(EncodeObjectFrame(o, 987654321)),
+            "0140000000510aedf02a0000000000000000000000000029400000000000001d"
+            "c015cd5b07000000008813000000000000b168de3a0000000003000000030000"
+            "000900000011000000");
+  EXPECT_EQ(Hex(EncodeQueryFrame(FrameKind::kQueryInsert, q)),
+            "025d000000e3a9b5d84d0000000000000000000000000025400000000000000a"
+            "c000000000000045400000000000c03140030000000300000003000000070000"
+            "000b000000010000000200000002000000050000001300000001000000000000"
+            "e03f03000000");
+  EXPECT_EQ(Hex(EncodeQueryUpdateFrame(q, Rect(1, 2, 3, 4))),
+            "0a7d0000006ff47a394d0000000000000000000000000025400000000000000a"
+            "c000000000000045400000000000c03140030000000300000003000000070000"
+            "000b000000010000000200000002000000050000001300000001000000000000"
+            "e03f03000000000000000000f03f000000000000004000000000000008400000"
+            "000000001040");
+  EXPECT_EQ(Hex(EncodeMatchBatchFrame(m.data(), m.size())),
+            "045400000075ee9d240200000001000000000000000200000000000000030000"
+            "0000000000000000000000d03f04000000000000000500000000000000060000"
+            "0000000000070000000000000000000000000000000000000000000000");
+  EXPECT_EQ(Hex(EncodeDrainFrame(FrameKind::kDrain, 0xDEADBEEFCAFEULL)),
+            "05080000009c51e15efecaefbeadde0000");
+  EXPECT_EQ(Hex(EncodeControlFrame(3, 41, EncodeObjectFrame(o, 987654321))),
+            "075d0000001dc105680300000000000000290000000000000049000000014000"
+            "0000510aedf02a0000000000000000000000000029400000000000001dc015cd"
+            "5b07000000008813000000000000b168de3a0000000003000000030000000900"
+            "000011000000");
+  EXPECT_EQ(Hex(EncodeAckFrame(7, 99)),
+            "08100000000ee1628c07000000000000006300000000000000");
+  EXPECT_EQ(Hex(EncodePingFrame()), "09000000002957deab");
+}
+
 // --- ShardMap ----------------------------------------------------------------
 
 TEST(ShardMapTest, UniformAssignmentStripes) {
