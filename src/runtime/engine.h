@@ -13,7 +13,6 @@ namespace ps2 {
 
 class DeliverySink;
 class Wal;
-struct RecoveredState;
 
 // Options of the threaded (wall-clock) engine.
 struct EngineOptions {
@@ -71,13 +70,6 @@ class Engine {
 
   // Executes the whole stream and reports the run's metrics.
   virtual RunReport Run(const std::vector<StreamTuple>& input) = 0;
-
-  // Loads the durable state at `dir`: the latest committed checkpoint plus
-  // a replay of the WAL segment chain, truncating any torn trailing record.
-  // The caller stands a Cluster up from the state and constructs an engine
-  // over it — PS2Stream::Restore() does exactly that. Forwards to
-  // RecoverState() in persist/durability.h.
-  static bool Recover(const std::string& dir, RecoveredState* out);
 };
 
 }  // namespace ps2

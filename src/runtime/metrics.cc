@@ -36,17 +36,9 @@ AppendF(std::string* out, const char* fmt, ...) {
 }  // namespace
 
 void RunReport::MergeShard(const RunReport& shard) {
-  tuples_processed += shard.tuples_processed;
-  objects += shard.objects;
-  inserts += shard.inserts;
-  deletes += shard.deletes;
-  matches_delivered += shard.matches_delivered;
-  duplicates_suppressed += shard.duplicates_suppressed;
-  matches_emitted += shard.matches_emitted;
-  objects_discarded += shard.objects_discarded;
-  session_deliveries += shard.session_deliveries;
-  session_drops += shard.session_drops;
-  matches_unrouted += shard.matches_unrouted;
+#define PS2_SUM_COUNTER(field, type, help) field += shard.field;
+  PS2_RUN_COUNTERS(PS2_SUM_COUNTER)
+#undef PS2_SUM_COUNTER
   // Shards ran concurrently: the fleet's wall time is the slowest shard's,
   // and throughput is the merged totals over that time — summing per-shard
   // rates would double-count the overlap.
@@ -63,29 +55,9 @@ void RunReport::MergeShard(const RunReport& shard) {
                              shard.worker_memory_bytes.begin(),
                              shard.worker_memory_bytes.end());
   dispatch.Merge(shard.dispatch);
-  adjustments += shard.adjustments;
-  cells_migrated += shard.cells_migrated;
-  queries_migrated += shard.queries_migrated;
-  bytes_migrated += shard.bytes_migrated;
-  routing_epochs += shard.routing_epochs;
-  dedup_kills += shard.dedup_kills;
-  wait_spins += shard.wait_spins;
-  wait_parks += shard.wait_parks;
   worker_ring_highwater.insert(worker_ring_highwater.end(),
                                shard.worker_ring_highwater.begin(),
                                shard.worker_ring_highwater.end());
-  transport_errors += shard.transport_errors;
-  frame_retries += shard.frame_retries;
-  frame_redeliveries += shard.frame_redeliveries;
-  frames_dropped += shard.frames_dropped;
-  fabric_dup_suppressed += shard.fabric_dup_suppressed;
-  shard_restarts += shard.shard_restarts;
-  shards_quarantined += shard.shards_quarantined;
-  quota_rejections += shard.quota_rejections;
-  rate_limited += shard.rate_limited;
-  overload_trips += shard.overload_trips;
-  overload_sheds += shard.overload_sheds;
-  live_subscriptions += shard.live_subscriptions;
   shards += shard.shards;
 }
 

@@ -19,50 +19,12 @@ struct Metric {
   double (*get)(const RunReport&);
 };
 
-#define PS2_COUNTER(field, help)                                       \
-  Metric {                                                             \
-    #field, help, "counter", true,                                     \
-        [](const RunReport& r) { return static_cast<double>(r.field); } \
-  }
+#define PS2_LISTED_METRIC(field, type, help)                           \
+  Metric{#field, help, #type, true,                                    \
+         [](const RunReport& r) { return static_cast<double>(r.field); }},
 
 const Metric kMetrics[] = {
-    PS2_COUNTER(tuples_processed, "Stream tuples processed."),
-    PS2_COUNTER(objects, "Objects published."),
-    PS2_COUNTER(inserts, "Subscription inserts applied."),
-    PS2_COUNTER(deletes, "Subscription deletes applied."),
-    PS2_COUNTER(matches_emitted, "Matches emitted by workers, pre-dedup."),
-    PS2_COUNTER(matches_delivered, "Deduplicated matches delivered."),
-    PS2_COUNTER(duplicates_suppressed, "Duplicate matches suppressed."),
-    PS2_COUNTER(objects_discarded, "Objects discarded by admission."),
-    PS2_COUNTER(session_deliveries, "Deliveries handed to sessions."),
-    PS2_COUNTER(session_drops,
-                "Deliveries lost to backpressure or closed sessions."),
-    PS2_COUNTER(matches_unrouted, "Matches with no routed session."),
-    PS2_COUNTER(dedup_kills, "Duplicates the shared window suppressed."),
-    PS2_COUNTER(wait_spins, "Wait-strategy spin iterations."),
-    PS2_COUNTER(wait_parks, "Wait-strategy futex parks."),
-    PS2_COUNTER(adjustments, "Load-controller checks that moved work."),
-    PS2_COUNTER(cells_migrated, "Cells migrated by load adjustment."),
-    PS2_COUNTER(queries_migrated, "Queries migrated by load adjustment."),
-    PS2_COUNTER(bytes_migrated, "Bytes migrated by load adjustment."),
-    PS2_COUNTER(routing_epochs, "Routing snapshot versions published."),
-    PS2_COUNTER(transport_errors, "Transport Send() failures."),
-    PS2_COUNTER(frame_retries, "Reliable-link frame retransmissions."),
-    PS2_COUNTER(frame_redeliveries,
-                "Duplicate frames suppressed by link receivers."),
-    PS2_COUNTER(frames_dropped, "Frames abandoned at quarantined shards."),
-    PS2_COUNTER(fabric_dup_suppressed,
-                "Cross-restart duplicate matches suppressed."),
-    PS2_COUNTER(shard_restarts, "Supervisor shard restarts."),
-    PS2_COUNTER(shards_quarantined, "Supervisor quarantine events."),
-    PS2_COUNTER(quota_rejections, "Subscribes rejected over a count quota."),
-    PS2_COUNTER(rate_limited, "Publishes rejected by a tenant token bucket."),
-    PS2_COUNTER(overload_trips, "Overload-controller degraded-mode entries."),
-    PS2_COUNTER(overload_sheds, "Subscribes shed while degraded."),
-    Metric{"live_subscriptions", "Subscriptions live now.", "gauge", true,
-           [](const RunReport& r) {
-             return static_cast<double>(r.live_subscriptions);
-           }},
+    PS2_RUN_COUNTERS(PS2_LISTED_METRIC)
     Metric{"shards", "Engine shards this report covers.", "gauge", true,
            [](const RunReport& r) { return static_cast<double>(r.shards); }},
     Metric{"wall_seconds", "Wall-clock seconds of the reported run.", "gauge",
@@ -71,7 +33,7 @@ const Metric kMetrics[] = {
            "gauge", false, [](const RunReport& r) { return r.throughput_tps; }},
 };
 
-#undef PS2_COUNTER
+#undef PS2_LISTED_METRIC
 
 struct LatencyMetric {
   const char* name;

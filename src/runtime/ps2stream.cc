@@ -548,9 +548,7 @@ void PS2Stream::SampleOverload() {
       ring_capacity > 0 ? static_cast<double>(ring_pending) /
                               static_cast<double>(ring_capacity)
                         : 0.0;
-  overload_.Observe(session_fill, ring_fill,
-                    overload_.config().force_drop_oldest ? delivery_.get()
-                                                         : nullptr);
+  overload_.Observe(session_fill, ring_fill, delivery_.get());
 }
 
 RunReport PS2Stream::MetricsSnapshot() const {
@@ -559,8 +557,8 @@ RunReport PS2Stream::MetricsSnapshot() const {
     std::lock_guard<std::mutex> lock(report_mu_);
     r = last_report_;
   }
-  // The base layer's engine internals (ring highwaters, migrations, fault
-  // tallies) stay at their last-Stop values.
+  // The base layer's engine internals (ring highwaters, migrations) stay at
+  // their last-Stop values.
   OverlayLiveCounters(&r);
   r.dedup_kills = delivery_->dedup_kills();
   return r;
@@ -577,6 +575,7 @@ void PS2Stream::OverlayLiveCounters(RunReport* r) const {
   r->overload_trips = overload_.trips();
   r->overload_sheds = overload_.sheds();
   r->live_subscriptions = live_subscriptions_.load(std::memory_order_relaxed);
+  if (fabric_ != nullptr) fabric_->fault_stats().CopyTo(r);
 }
 
 std::string PS2Stream::MetricsPrometheus() const {

@@ -286,8 +286,9 @@ class PS2Stream : private SubscriptionBackend {
   // Point-in-time metrics: the last Stop() report (zeros before the first
   // Stop, or forever in synchronous mode) overlaid with the live
   // thread-safe counters — session deliveries/drops/latency, unrouted,
-  // dedup kills, quota/overload counters and the live-subscription gauge.
-  // Callable from any thread (the exporter's snapshot callback).
+  // dedup kills, quota/overload counters, the live-subscription gauge and,
+  // in fabric mode, the fabric's fault tallies. Callable from any thread
+  // (the exporter's snapshot callback) once Bootstrap()/Restore() returned.
   RunReport MetricsSnapshot() const;
   // Prometheus text rendering of MetricsSnapshot(); includes per-shard
   // {shard="N"} sections once the fabric has produced shard reports.
@@ -319,7 +320,7 @@ class PS2Stream : private SubscriptionBackend {
   // Shared subscription-update path (node or fabric).
   Status ApplyUpdate(const STSQuery& old_query, const STSQuery& new_query);
   // Writes the counters that are live and thread-safe right now (sessions,
-  // unrouted, quota, overload, live subscriptions) into `r`.
+  // unrouted, quota, overload, live subscriptions, fabric faults) into `r`.
   void OverlayLiveCounters(RunReport* r) const;
   // Watermark advance + promotion delivery (both Post and AdvanceEventTime).
   void AdvanceWatermark(int64_t watermark_us);

@@ -12,6 +12,11 @@ namespace ps2 {
 
 namespace {
 
+// Seed of the links' backoff-jitter RNG; fixed so fault schedules replay.
+constexpr uint64_t kLinkSeed = 0x51ED5EEDULL;
+// Cell moves the balancer may plan per rebalance check.
+constexpr size_t kRebalanceMaxMoves = 4;
+
 // Remaps a term id minted against `from` onto the fabric vocabulary `to`.
 // Every term that ever reached a WAL or checkpoint carries its string, so
 // the string is the cross-shard identity; ids whose string is unknown
@@ -219,8 +224,8 @@ void ShardedEngine::StandUpShards(PartitionPlan plan, int num_shards) {
     shard->egress = std::make_unique<ShardEgress>(this, shard->id);
     // Distinct jitter streams per shard and direction so a fleet under the
     // same fault schedule never retries in lockstep.
-    const uint64_t seed = config_.fabric.link_seed +
-                          0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(i) + 1);
+    const uint64_t seed =
+        kLinkSeed + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(i) + 1);
     shard->ctl_out.Configure(config_.fabric.retry, seed);
     shard->match_out.Configure(config_.fabric.retry, seed ^ 0xA5A5A5A5ULL);
     Shard* raw = shard.get();
@@ -490,11 +495,6 @@ Status ShardedEngine::Post(const SpatioTextualObject& object,
     // returns, even when the transport dropped the first copies.
     st = FlushEgress(owner);
     if (!st.ok()) return st;
-  }
-  if (config_.fabric.health_probe_interval > 0 &&
-      ++posts_since_probe_ >= config_.fabric.health_probe_interval) {
-    posts_since_probe_ = 0;
-    CheckHealth();  // degradations handled inside (restart/quarantine)
   }
   if (config_.fabric.auto_rebalance &&
       ++posts_since_rebalance_ >= config_.fabric.rebalance_check_interval) {
@@ -766,7 +766,7 @@ bool ShardedEngine::RestartShard(Shard& shard) {
 void ShardedEngine::QuarantineShard(ShardId s) {
   Shard& shard = *shards_[static_cast<size_t>(s)];
   supervisor_.Quarantine(s);
-  quarantine_events_.fetch_add(1, std::memory_order_relaxed);
+  shards_quarantined_.fetch_add(1, std::memory_order_relaxed);
   shard.dead.store(true, std::memory_order_release);
   shard.node.Crash(/*abandon_wal=*/false);
   // Accepted matches still get out; queued control frames die with the
@@ -853,17 +853,18 @@ Status ShardedEngine::durability_status() const {
   return Status::Ok();
 }
 
+void FabricFaultStats::CopyTo(RunReport* report) const {
+#define PS2_COPY_FAULT(field, type, help) report->field = field;
+  PS2_FABRIC_FAULT_COUNTERS(PS2_COPY_FAULT)
+#undef PS2_COPY_FAULT
+}
+
 FabricFaultStats ShardedEngine::fault_stats() const {
   FabricFaultStats s;
-  s.transport_errors = transport_errors_.load(std::memory_order_relaxed);
-  s.frame_retries = frame_retries_.load(std::memory_order_relaxed);
-  s.frame_redeliveries =
-      frame_redeliveries_.load(std::memory_order_relaxed);
-  s.frames_dropped = frames_dropped_.load(std::memory_order_relaxed);
-  s.dup_suppressed = dup_suppressed_.load(std::memory_order_relaxed);
-  s.shard_restarts = shard_restarts_.load(std::memory_order_relaxed);
-  s.shards_quarantined =
-      quarantine_events_.load(std::memory_order_relaxed);
+#define PS2_LOAD_FAULT(field, type, help) \
+  s.field = field##_.load(std::memory_order_relaxed);
+  PS2_FABRIC_FAULT_COUNTERS(PS2_LOAD_FAULT)
+#undef PS2_LOAD_FAULT
   return s;
 }
 
@@ -1026,7 +1027,7 @@ void ShardedEngine::ApplyFromShard(Frame& f) {
         if (front_sink_->AcceptFresh(m.query_id, m.object_id)) {
           front_sink_->Deliver(m, wm.publish_us);
         } else {
-          dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
+          fabric_dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
         }
       }
       return;
@@ -1096,14 +1097,7 @@ RunReport ShardedEngine::Stop() {
     fleet.MergeShard(shard_reports_[i]);
   }
   // The fabric's own fault tallies ride the fleet report.
-  const FabricFaultStats fs = fault_stats();
-  fleet.transport_errors = fs.transport_errors;
-  fleet.frame_retries = fs.frame_retries;
-  fleet.frame_redeliveries = fs.frame_redeliveries;
-  fleet.frames_dropped = fs.frames_dropped;
-  fleet.fabric_dup_suppressed = fs.dup_suppressed;
-  fleet.shard_restarts = fs.shard_restarts;
-  fleet.shards_quarantined = fs.shards_quarantined;
+  fault_stats().CopyTo(&fleet);
   return fleet;
 }
 
@@ -1263,8 +1257,7 @@ ShardMigrationStats ShardedEngine::MigrateCell(CellId cell, ShardId from,
 size_t ShardedEngine::MaybeRebalance() {
   if (!bootstrapped() || num_shards() < 2) return 0;
   const std::vector<ShardMove> moves =
-      balancer_.Plan(*map_->Current(), cell_objects_,
-                     config_.fabric.rebalance_max_moves);
+      balancer_.Plan(*map_->Current(), cell_objects_, kRebalanceMaxMoves);
   size_t migrated = 0;
   for (const ShardMove& move : moves) {
     if (supervisor_.quarantined(move.from) ||

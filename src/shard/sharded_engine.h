@@ -38,13 +38,12 @@ struct ShardFabricOptions {
   // query placement as a 64-bit shard mask).
   int num_shards = 1;
   // Cross-shard auto-rebalancing: every `rebalance_check_interval` posts,
-  // plan hot-cell migrations whenever the per-shard object-load balance
-  // factor exceeds `rebalance_sigma`, and execute them inline on the
-  // posting thread (the fabric's control plane).
+  // plan up to four hot-cell migrations whenever the per-shard object-load
+  // balance factor exceeds `rebalance_sigma`, and execute them inline on
+  // the posting thread (the fabric's control plane).
   bool auto_rebalance = false;
   size_t rebalance_check_interval = 100000;
   double rebalance_sigma = 1.5;
-  size_t rebalance_max_moves = 4;
   // --- fault tolerance ------------------------------------------------------
   // Retransmission schedule of every reliable link (control frames front ->
   // shard, match/drain-ack frames shard -> front). Exhausting it is the
@@ -53,12 +52,6 @@ struct ShardFabricOptions {
   // Supervisor policy: consecutive failed restart cycles before a shard is
   // quarantined (degraded mode).
   int max_restarts = 3;
-  // Posts between automatic CheckHealth() probe sweeps; 0 = probes only via
-  // explicit CheckHealth() calls (every acked control frame already doubles
-  // as a liveness signal, so probes matter for idle shards).
-  size_t health_probe_interval = 0;
-  // Seed of the links' backoff-jitter RNG (deterministic tests).
-  uint64_t link_seed = 0x51ED5EEDULL;
   // Transport override threaded through PS2StreamOptions — the hook tests
   // use to wrap the loopback in a FaultInjectingTransport. Not owned;
   // nullptr = the fabric owns a plain loopback.
@@ -82,16 +75,14 @@ struct ShardMigrationStats {
   size_t bytes = 0;            // wire bytes of the copy phase
 };
 
-// Fault-tolerance tallies of the fabric (mirrored into the fleet RunReport
-// by Stop(); readable live through fault_stats()).
+// Fault-tolerance tallies of the fabric, named as in RunReport (see
+// PS2_FABRIC_FAULT_COUNTERS); readable live through fault_stats().
 struct FabricFaultStats {
-  uint64_t transport_errors = 0;   // Transport::Send() returned false
-  uint64_t frame_retries = 0;      // reliable-link retransmissions
-  uint64_t frame_redeliveries = 0; // duplicate frames receivers suppressed
-  uint64_t frames_dropped = 0;     // frames abandoned (quarantined target)
-  uint64_t dup_suppressed = 0;     // match dups killed at the front window
-  uint64_t shard_restarts = 0;     // supervisor restart attempts
-  uint64_t shards_quarantined = 0; // quarantine events
+  PS2_FABRIC_FAULT_COUNTERS(PS2_COUNTER_FIELD)
+
+  // Writes every tally into the same-named field of `report` (the fleet
+  // report at Stop(), the facade's live snapshot in between).
+  void CopyTo(RunReport* report) const;
 };
 
 // N engine shards behind the unchanged PS2Stream facade. Each shard is one
@@ -463,7 +454,6 @@ class ShardedEngine {
   // Balancer signal: objects routed per cell since the last window reset.
   std::vector<uint64_t> cell_objects_;
   size_t posts_since_rebalance_ = 0;
-  size_t posts_since_probe_ = 0;
   ShardBalancer balancer_;
   ShardSupervisor supervisor_;
 
@@ -478,13 +468,9 @@ class ShardedEngine {
   std::vector<RunReport> shard_reports_;
 
   // Fault counters (FabricFaultStats mirror; bumped from any thread).
-  std::atomic<uint64_t> transport_errors_{0};
-  std::atomic<uint64_t> frame_retries_{0};
-  std::atomic<uint64_t> frame_redeliveries_{0};
-  std::atomic<uint64_t> frames_dropped_{0};
-  std::atomic<uint64_t> dup_suppressed_{0};
-  std::atomic<uint64_t> shard_restarts_{0};
-  std::atomic<uint64_t> quarantine_events_{0};
+#define PS2_FAULT_ATOMIC(field, type, help) std::atomic<uint64_t> field##_{0};
+  PS2_FABRIC_FAULT_COUNTERS(PS2_FAULT_ATOMIC)
+#undef PS2_FAULT_ATOMIC
 
   std::vector<CellId> overlap_scratch_;
 };

@@ -542,8 +542,8 @@ TEST_F(CrashRecoveryTest, BootstrapRefusesExistingDurableDirectory) {
 }
 
 // Explicit checkpoints bound WAL growth: after Checkpoint(), recovery reads
-// the checkpointed state plus an empty tail, and Engine::Recover exposes
-// the same state to embedders that bypass the facade.
+// the checkpointed state plus an empty tail, and RecoverState exposes the
+// same state to embedders that bypass the facade.
 TEST_F(CrashRecoveryTest, CheckpointThenEngineRecover) {
   auto w = testutil::MakeWorkload(1309, 400, 120);
   PS2StreamOptions opts;
@@ -560,7 +560,7 @@ TEST_F(CrashRecoveryTest, CheckpointThenEngineRecover) {
   ps2.Kill();
 
   RecoveredState state;
-  ASSERT_TRUE(Engine::Recover(dir_, &state));
+  ASSERT_TRUE(RecoverState(dir_, &state));
   EXPECT_EQ(state.checkpoint_seq, 2u);
   EXPECT_EQ(state.wal.records, 0u);  // tail is empty after the checkpoint
   EXPECT_EQ(state.queries.size(), w.sample.inserts.size());

@@ -137,6 +137,263 @@ TEST(MetricsExporterTest, JsonIsFlatBalancedAndComplete) {
 }
 
 // ---------------------------------------------------------------------------
+// Rendered bytes pinned against the exporter's previous hand-written table
+// ---------------------------------------------------------------------------
+
+// Every PS2_RUN_COUNTERS field gets a distinct value (base, base + 1, ... in
+// list order), and the hand-written scalars and histograms get values too.
+RunReport MakeDistinctReport(uint64_t base) {
+  RunReport r;
+  uint64_t v = base;
+#define PS2_SET_DISTINCT(field, type, help) r.field = v++;
+  PS2_RUN_COUNTERS(PS2_SET_DISTINCT)
+#undef PS2_SET_DISTINCT
+  r.wall_seconds = 2.5 + static_cast<double>(base) / 1000.0;
+  r.throughput_tps = 12345.625 + static_cast<double>(base);
+  for (int i = 1; i <= 4; ++i) r.latency.Record(10.0 * i);
+  r.delivery_latency.Record(250.0);
+  r.delivery_latency.Record(1500.0);
+  return r;
+}
+
+// Captured from the renderers as they were before the metric list existed:
+// names, order, HELP/TYPE text and number formatting must not drift.
+constexpr char kGoldenPrometheus[] = R"golden(# HELP ps2_tuples_processed Stream tuples processed.
+# TYPE ps2_tuples_processed counter
+ps2_tuples_processed 1001
+ps2_tuples_processed{shard="0"} 2001
+ps2_tuples_processed{shard="1"} 3001
+# HELP ps2_objects Objects published.
+# TYPE ps2_objects counter
+ps2_objects 1002
+ps2_objects{shard="0"} 2002
+ps2_objects{shard="1"} 3002
+# HELP ps2_inserts Subscription inserts applied.
+# TYPE ps2_inserts counter
+ps2_inserts 1003
+ps2_inserts{shard="0"} 2003
+ps2_inserts{shard="1"} 3003
+# HELP ps2_deletes Subscription deletes applied.
+# TYPE ps2_deletes counter
+ps2_deletes 1004
+ps2_deletes{shard="0"} 2004
+ps2_deletes{shard="1"} 3004
+# HELP ps2_matches_emitted Matches emitted by workers, pre-dedup.
+# TYPE ps2_matches_emitted counter
+ps2_matches_emitted 1005
+ps2_matches_emitted{shard="0"} 2005
+ps2_matches_emitted{shard="1"} 3005
+# HELP ps2_matches_delivered Deduplicated matches delivered.
+# TYPE ps2_matches_delivered counter
+ps2_matches_delivered 1006
+ps2_matches_delivered{shard="0"} 2006
+ps2_matches_delivered{shard="1"} 3006
+# HELP ps2_duplicates_suppressed Duplicate matches suppressed.
+# TYPE ps2_duplicates_suppressed counter
+ps2_duplicates_suppressed 1007
+ps2_duplicates_suppressed{shard="0"} 2007
+ps2_duplicates_suppressed{shard="1"} 3007
+# HELP ps2_objects_discarded Objects discarded by admission.
+# TYPE ps2_objects_discarded counter
+ps2_objects_discarded 1008
+ps2_objects_discarded{shard="0"} 2008
+ps2_objects_discarded{shard="1"} 3008
+# HELP ps2_session_deliveries Deliveries handed to sessions.
+# TYPE ps2_session_deliveries counter
+ps2_session_deliveries 1009
+ps2_session_deliveries{shard="0"} 2009
+ps2_session_deliveries{shard="1"} 3009
+# HELP ps2_session_drops Deliveries lost to backpressure or closed sessions.
+# TYPE ps2_session_drops counter
+ps2_session_drops 1010
+ps2_session_drops{shard="0"} 2010
+ps2_session_drops{shard="1"} 3010
+# HELP ps2_matches_unrouted Matches with no routed session.
+# TYPE ps2_matches_unrouted counter
+ps2_matches_unrouted 1011
+ps2_matches_unrouted{shard="0"} 2011
+ps2_matches_unrouted{shard="1"} 3011
+# HELP ps2_dedup_kills Duplicates the shared window suppressed.
+# TYPE ps2_dedup_kills counter
+ps2_dedup_kills 1012
+ps2_dedup_kills{shard="0"} 2012
+ps2_dedup_kills{shard="1"} 3012
+# HELP ps2_wait_spins Wait-strategy spin iterations.
+# TYPE ps2_wait_spins counter
+ps2_wait_spins 1013
+ps2_wait_spins{shard="0"} 2013
+ps2_wait_spins{shard="1"} 3013
+# HELP ps2_wait_parks Wait-strategy futex parks.
+# TYPE ps2_wait_parks counter
+ps2_wait_parks 1014
+ps2_wait_parks{shard="0"} 2014
+ps2_wait_parks{shard="1"} 3014
+# HELP ps2_adjustments Load-controller checks that moved work.
+# TYPE ps2_adjustments counter
+ps2_adjustments 1015
+ps2_adjustments{shard="0"} 2015
+ps2_adjustments{shard="1"} 3015
+# HELP ps2_cells_migrated Cells migrated by load adjustment.
+# TYPE ps2_cells_migrated counter
+ps2_cells_migrated 1016
+ps2_cells_migrated{shard="0"} 2016
+ps2_cells_migrated{shard="1"} 3016
+# HELP ps2_queries_migrated Queries migrated by load adjustment.
+# TYPE ps2_queries_migrated counter
+ps2_queries_migrated 1017
+ps2_queries_migrated{shard="0"} 2017
+ps2_queries_migrated{shard="1"} 3017
+# HELP ps2_bytes_migrated Bytes migrated by load adjustment.
+# TYPE ps2_bytes_migrated counter
+ps2_bytes_migrated 1018
+ps2_bytes_migrated{shard="0"} 2018
+ps2_bytes_migrated{shard="1"} 3018
+# HELP ps2_routing_epochs Routing snapshot versions published.
+# TYPE ps2_routing_epochs counter
+ps2_routing_epochs 1019
+ps2_routing_epochs{shard="0"} 2019
+ps2_routing_epochs{shard="1"} 3019
+# HELP ps2_transport_errors Transport Send() failures.
+# TYPE ps2_transport_errors counter
+ps2_transport_errors 1020
+ps2_transport_errors{shard="0"} 2020
+ps2_transport_errors{shard="1"} 3020
+# HELP ps2_frame_retries Reliable-link frame retransmissions.
+# TYPE ps2_frame_retries counter
+ps2_frame_retries 1021
+ps2_frame_retries{shard="0"} 2021
+ps2_frame_retries{shard="1"} 3021
+# HELP ps2_frame_redeliveries Duplicate frames suppressed by link receivers.
+# TYPE ps2_frame_redeliveries counter
+ps2_frame_redeliveries 1022
+ps2_frame_redeliveries{shard="0"} 2022
+ps2_frame_redeliveries{shard="1"} 3022
+# HELP ps2_frames_dropped Frames abandoned at quarantined shards.
+# TYPE ps2_frames_dropped counter
+ps2_frames_dropped 1023
+ps2_frames_dropped{shard="0"} 2023
+ps2_frames_dropped{shard="1"} 3023
+# HELP ps2_fabric_dup_suppressed Cross-restart duplicate matches suppressed.
+# TYPE ps2_fabric_dup_suppressed counter
+ps2_fabric_dup_suppressed 1024
+ps2_fabric_dup_suppressed{shard="0"} 2024
+ps2_fabric_dup_suppressed{shard="1"} 3024
+# HELP ps2_shard_restarts Supervisor shard restarts.
+# TYPE ps2_shard_restarts counter
+ps2_shard_restarts 1025
+ps2_shard_restarts{shard="0"} 2025
+ps2_shard_restarts{shard="1"} 3025
+# HELP ps2_shards_quarantined Supervisor quarantine events.
+# TYPE ps2_shards_quarantined counter
+ps2_shards_quarantined 1026
+ps2_shards_quarantined{shard="0"} 2026
+ps2_shards_quarantined{shard="1"} 3026
+# HELP ps2_quota_rejections Subscribes rejected over a count quota.
+# TYPE ps2_quota_rejections counter
+ps2_quota_rejections 1027
+ps2_quota_rejections{shard="0"} 2027
+ps2_quota_rejections{shard="1"} 3027
+# HELP ps2_rate_limited Publishes rejected by a tenant token bucket.
+# TYPE ps2_rate_limited counter
+ps2_rate_limited 1028
+ps2_rate_limited{shard="0"} 2028
+ps2_rate_limited{shard="1"} 3028
+# HELP ps2_overload_trips Overload-controller degraded-mode entries.
+# TYPE ps2_overload_trips counter
+ps2_overload_trips 1029
+ps2_overload_trips{shard="0"} 2029
+ps2_overload_trips{shard="1"} 3029
+# HELP ps2_overload_sheds Subscribes shed while degraded.
+# TYPE ps2_overload_sheds counter
+ps2_overload_sheds 1030
+ps2_overload_sheds{shard="0"} 2030
+ps2_overload_sheds{shard="1"} 3030
+# HELP ps2_live_subscriptions Subscriptions live now.
+# TYPE ps2_live_subscriptions gauge
+ps2_live_subscriptions 1031
+ps2_live_subscriptions{shard="0"} 2031
+ps2_live_subscriptions{shard="1"} 3031
+# HELP ps2_shards Engine shards this report covers.
+# TYPE ps2_shards gauge
+ps2_shards 2
+ps2_shards{shard="0"} 1
+ps2_shards{shard="1"} 1
+# HELP ps2_wall_seconds Wall-clock seconds of the reported run.
+# TYPE ps2_wall_seconds gauge
+ps2_wall_seconds 3.501
+ps2_wall_seconds{shard="0"} 4.501
+ps2_wall_seconds{shard="1"} 5.501
+# HELP ps2_throughput_tps Tuples per second of the reported run.
+# TYPE ps2_throughput_tps gauge
+ps2_throughput_tps 13346.6
+ps2_throughput_tps{shard="0"} 14346.6
+ps2_throughput_tps{shard="1"} 15346.6
+# HELP ps2_match_latency_us Tuple-process to match latency (microseconds).
+# TYPE ps2_match_latency_us summary
+ps2_match_latency_us{quantile="0.5"} 22.6274
+ps2_match_latency_us{quantile="0.9"} 39.9529
+ps2_match_latency_us{quantile="0.99"} 44.7246
+ps2_match_latency_us_sum 100
+ps2_match_latency_us_count 4
+# HELP ps2_delivery_latency_us Publish to session-delivery latency (microseconds).
+# TYPE ps2_delivery_latency_us summary
+ps2_delivery_latency_us{quantile="0.5"} 256
+ps2_delivery_latency_us{quantile="0.9"} 1928.03
+ps2_delivery_latency_us{quantile="0.99"} 2036
+ps2_delivery_latency_us_sum 1750
+ps2_delivery_latency_us_count 2
+)golden";
+
+constexpr char kGoldenJson[] = R"golden({
+  "tuples_processed": 1001,
+  "objects": 1002,
+  "inserts": 1003,
+  "deletes": 1004,
+  "matches_emitted": 1005,
+  "matches_delivered": 1006,
+  "duplicates_suppressed": 1007,
+  "objects_discarded": 1008,
+  "session_deliveries": 1009,
+  "session_drops": 1010,
+  "matches_unrouted": 1011,
+  "dedup_kills": 1012,
+  "wait_spins": 1013,
+  "wait_parks": 1014,
+  "adjustments": 1015,
+  "cells_migrated": 1016,
+  "queries_migrated": 1017,
+  "bytes_migrated": 1018,
+  "routing_epochs": 1019,
+  "transport_errors": 1020,
+  "frame_retries": 1021,
+  "frame_redeliveries": 1022,
+  "frames_dropped": 1023,
+  "fabric_dup_suppressed": 1024,
+  "shard_restarts": 1025,
+  "shards_quarantined": 1026,
+  "quota_rejections": 1027,
+  "rate_limited": 1028,
+  "overload_trips": 1029,
+  "overload_sheds": 1030,
+  "live_subscriptions": 1031,
+  "shards": 2,
+  "wall_seconds": 3.501,
+  "throughput_tps": 13346.6,
+  "match_latency_us": {"count": 4, "mean": 25, "max": 40, "p50": 22.6274, "p90": 39.9529, "p99": 44.7246},
+  "delivery_latency_us": {"count": 2, "mean": 875, "max": 1500, "p50": 256, "p90": 1928.03, "p99": 2036}
+}
+)golden";
+
+TEST(MetricsExporterTest, RenderedOutputIsUnchanged) {
+  RunReport fleet = MakeDistinctReport(1001);
+  fleet.shards = 2;
+  const std::vector<RunReport> shards = {MakeDistinctReport(2001),
+                                         MakeDistinctReport(3001)};
+  EXPECT_EQ(RenderPrometheus(fleet, &shards), kGoldenPrometheus);
+  EXPECT_EQ(RenderJson(fleet), kGoldenJson);
+}
+
+// ---------------------------------------------------------------------------
 // File exporter
 // ---------------------------------------------------------------------------
 
@@ -288,6 +545,18 @@ TEST(RunReportSummaryTest, MergeShardSumsAdmissionCounters) {
   EXPECT_EQ(fleet.live_subscriptions, 30u);
 }
 
+TEST(RunReportSummaryTest, MergeShardSumsEveryListedCounter) {
+  const RunReport a = MakeDistinctReport(1);
+  const RunReport b = MakeDistinctReport(1000);
+  RunReport fleet;
+  fleet.MergeShard(a);
+  fleet.MergeShard(b);
+#define PS2_EXPECT_SUMMED(field, type, help) \
+  EXPECT_EQ(fleet.field, a.field + b.field) << #field;
+  PS2_RUN_COUNTERS(PS2_EXPECT_SUMMED)
+#undef PS2_EXPECT_SUMMED
+}
+
 // ---------------------------------------------------------------------------
 // Facade integration
 // ---------------------------------------------------------------------------
@@ -335,6 +604,30 @@ TEST(PS2StreamMetricsTest, FabricPrometheusCarriesShardSections) {
             std::string::npos);
   EXPECT_NE(prom.find("ps2_tuples_processed{shard=\"1\"} "),
             std::string::npos);
+}
+
+// The fabric's fault tallies reach MetricsSnapshot() while the service runs,
+// not only after the next Stop() folds them into the report.
+TEST(PS2StreamMetricsTest, FabricFaultCountersAreLive) {
+  const testutil::TestWorkload workload =
+      testutil::MakeWorkload(/*seed=*/29, /*num_objects=*/200,
+                             /*num_queries=*/60, /*num_terms=*/30);
+  PS2StreamOptions options;
+  options.sharding.num_shards = 2;
+  options.sharding.retry.max_attempts = 4;
+  options.sharding.retry.base_backoff_us = 50;
+  options.sharding.retry.max_backoff_us = 200;
+  PS2Stream ps2(options);
+  ps2.Bootstrap(workload.sample);
+  ps2.Start();
+
+  ps2.fabric()->KillShard(1);
+  EXPECT_TRUE(ps2.fabric()->CheckHealth().ok());
+
+  const RunReport live = ps2.MetricsSnapshot();
+  EXPECT_GE(live.shard_restarts, 1u);
+  EXPECT_EQ(live.shard_restarts, ps2.fabric()->fault_stats().shard_restarts);
+  ps2.Stop();
 }
 
 TEST(PS2StreamMetricsTest, FacadeExporterWritesConfiguredFiles) {

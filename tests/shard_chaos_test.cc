@@ -200,7 +200,7 @@ TEST(ShardChaosTest, SoakSurvivesKillsFaultsAndMigrationsExactly) {
               << " duplicated=" << fcnt.duplicated
               << " restarts=" << fs.shard_restarts
               << " retries=" << fs.frame_retries
-              << " dup_suppressed=" << fs.dup_suppressed << std::endl;
+              << " dup_suppressed=" << fs.fabric_dup_suppressed << std::endl;
   }
 }
 

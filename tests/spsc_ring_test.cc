@@ -271,10 +271,10 @@ TEST(SpscRingTest, SharedEventCountAcrossRingsLosesNothing) {
   EXPECT_EQ(total, static_cast<uint64_t>(kRings) * kPerRing);
 }
 
-// Reference model of BoundedQueue's observable stream semantics — bounded
-// FIFO, push fails when full or closed, queued items drain after Close.
-// (The real BoundedQueue blocks instead of failing, so the model exposes
-// the same contract through non-blocking calls the fuzzer can drive.)
+// Reference model of the stream contract the rings inherited from the
+// blocking BoundedQueue they replaced — bounded FIFO, push fails when full
+// or closed, queued items drain after Close — exposed through non-blocking
+// calls the fuzzer can drive.
 struct QueueModel {
   explicit QueueModel(size_t cap) : capacity(cap) {}
   size_t capacity;
